@@ -10,9 +10,10 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "engine/exec.hpp"
+#include "stats/streaming.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
-#include "util/stats.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace cadapt;
@@ -37,7 +38,7 @@ int main() {
                "uniform random boxes in [1, 256] ---\n";
   util::Table cost({"handicap d", "E[extra boxes]", "max extra"});
   for (const std::uint64_t d : {1ull, 4ull, 16ull, 64ull}) {
-    util::RunningStat extra;
+    stats::Welford extra;
     for (std::uint64_t trial = 0; trial < 400; ++trial) {
       util::Rng rng(trial * 77 + d);
       engine::RegularExecution base({8, 4, 1.0}, 256);

@@ -19,6 +19,7 @@
 #include "profile/distributions.hpp"
 #include "profile/worst_case.hpp"
 #include "util/random.hpp"
+#include "util/table.hpp"
 
 namespace {
 

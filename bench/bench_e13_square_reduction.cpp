@@ -20,6 +20,7 @@
 #include "profile/generators.hpp"
 #include "profile/square_approx.hpp"
 #include "util/random.hpp"
+#include "util/table.hpp"
 
 namespace {
 

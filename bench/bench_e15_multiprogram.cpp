@@ -18,11 +18,13 @@
 #include "algos/sort.hpp"
 #include "bench_common.hpp"
 #include "engine/analytic.hpp"
+#include "engine/montecarlo.hpp"
 #include "paging/trace.hpp"
 #include "profile/distributions.hpp"
 #include "profile/square_approx.hpp"
 #include "sched/shared_cache.hpp"
 #include "util/random.hpp"
+#include "util/table.hpp"
 
 namespace {
 

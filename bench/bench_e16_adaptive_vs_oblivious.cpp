@@ -21,6 +21,7 @@
 #include "profile/square_approx.hpp"
 #include "profile/worst_case.hpp"
 #include "util/random.hpp"
+#include "util/table.hpp"
 
 namespace {
 

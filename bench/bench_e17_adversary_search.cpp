@@ -20,6 +20,7 @@
 #include "engine/adversary.hpp"
 #include "profile/box_source.hpp"
 #include "util/math.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace cadapt;

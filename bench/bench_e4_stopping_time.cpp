@@ -16,6 +16,7 @@
 #include "engine/montecarlo.hpp"
 #include "profile/distributions.hpp"
 #include "util/math.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace cadapt;

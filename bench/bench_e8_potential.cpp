@@ -7,6 +7,7 @@
 #include "bench_common.hpp"
 #include "core/experiments.hpp"
 #include "util/math.hpp"
+#include "util/table.hpp"
 
 int main() {
   using namespace cadapt;

@@ -7,57 +7,48 @@
 //   4. box-order perturbation              -> worst-case for the matched
 //                                             algorithm (w.p. 1)
 //
-// Prints one ratio-vs-n table per smoothing plus the fitted slope against
-// log_b n (slope 1 = the full gap, slope 0 = adaptive).
+// Each perturbation is a manifest profile token (docs/SWEEPS.md); one
+// campaign runs the grid and the columnar report prints one ratio-vs-n
+// table per series plus the fitted slope against log_b n = k (slope 1 =
+// the full gap, slope 0 = adaptive).
 #include <iostream>
+#include <sstream>
+#include <string>
 
-#include "core/cadapt.hpp"
-#include "util/table.hpp"
+#include "campaign/manifest.hpp"
+#include "campaign/plan.hpp"
+#include "campaign/sweep.hpp"
+#include "report/cell_store.hpp"
+
+namespace {
+
+void tour(const std::string& manifest) {
+  using namespace cadapt;
+  std::istringstream in(manifest);
+  const campaign::Plan plan =
+      campaign::expand_plan(campaign::parse_manifest(in));
+  report::CellStore::from_report(campaign::run_sweep(plan))
+      .write_series_tables(std::cout);
+}
+
+}  // namespace
 
 int main() {
-  using namespace cadapt;
-  const model::RegularParams mm_scan{8, 4, 1.0};
+  std::cout << "Baseline: the unsmoothed adversary (worst, slope 1).\n"
+               "[1] shuffled: full i.i.d. reshuffle — Theorem 1 "
+               "(positive).\n"
+               "[2] perturb:4: per-box size perturbation, X ~ U[0,4] "
+               "(negative).\n"
+               "[3] shifted: random cyclic start-time shift (negative).\n";
+  tour("name = smoothing_tour\nalgos = 8:4:1\n"
+       "profiles = worst shuffled perturb:4 shifted\n"
+       "k = 2..6\ntrials = 24\nseed = 42\n");
 
-  core::SweepOptions opts;
-  opts.kmin = 2;
-  opts.kmax = 6;
-  opts.trials = 24;
-
-  auto show = [&](const core::Series& series) {
-    std::cout << "\n" << series.name << "\n";
-    util::Table table({"n", "ratio", "ci95"});
-    for (const auto& p : series.points)
-      table.row().cell(p.n).cell(p.ratio_mean, 3).cell(p.ratio_ci95, 3);
-    table.print(std::cout);
-    std::cout << "slope vs log_4 n: "
-              << util::format_double(core::slope_vs_log_n(series, 4), 3)
-              << "\n";
-  };
-
-  std::cout << "Baseline: the unsmoothed adversary (slope 1).\n";
-  {
-    core::SweepOptions det = opts;
-    det.trials = 1;
-    show(core::worst_case_gap_curve(mm_scan, det));
-  }
-
-  std::cout << "\n[1] Full i.i.d. reshuffle — Theorem 1 (positive).\n";
-  show(core::shuffled_worst_case_curve(mm_scan, opts));
-
-  std::cout << "\n[2] Per-box size perturbation, X ~ U{1..4} (negative).\n";
-  show(core::size_perturb_curve(mm_scan, profile::uniform_int_perturb(4),
-                                opts));
-
-  std::cout << "\n[3] Random cyclic start-time shift (negative).\n";
-  show(core::cyclic_shift_curve(mm_scan, opts));
-
-  std::cout << "\n[4] Box-order perturbation, matched algorithm, budgeted "
-               "semantics (negative, w.p. 1).\n";
-  {
-    core::SweepOptions budgeted = opts;
-    budgeted.semantics = engine::BoxSemantics::kBudgeted;
-    show(core::order_perturb_curve(mm_scan, budgeted, /*matched=*/true));
-  }
+  std::cout << "\n[4] order-matched: box-order perturbation, matched "
+               "algorithm, budgeted semantics (negative, w.p. 1).\n";
+  tour("name = smoothing_tour_order\nalgos = 8:4:1\n"
+       "profiles = order-matched\nsemantics = budgeted\n"
+       "k = 2..6\ntrials = 24\nseed = 42\n");
 
   std::cout << "\nOnly the full i.i.d. reshuffle closes the gap — exactly "
                "the paper's message.\n";

@@ -8,7 +8,7 @@
 //   engine::run_monte_carlo   — parallel expectation estimation
 //   paging::CaMachine         — concrete cache-adaptive paging machine
 //   algos::*                  — instrumented real algorithms (MM-Scan, ...)
-//   core::*_curve             — one-call reproductions of the paper's claims
+//   core::count_completions   — §3's multiplies-per-profile probe
 #pragma once
 
 #include "core/experiments.hpp"     // IWYU pragma: export

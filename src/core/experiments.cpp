@@ -1,170 +1,12 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
 
-#include "core/workloads.hpp"
-#include "profile/worst_case.hpp"
+#include "engine/exec.hpp"
 #include "util/check.hpp"
-#include "util/math.hpp"
-#include "util/stats.hpp"
+#include "util/random.hpp"
 
 namespace cadapt::core {
-
-RatioPoint point_from_summary(std::uint64_t n, const engine::McSummary& s,
-                              bool unit_progress) {
-  const util::RunningStat& stat = unit_progress ? s.unit_ratio : s.ratio;
-  const std::vector<double>& samples =
-      unit_progress ? s.unit_ratio_samples : s.ratio_samples;
-  RatioPoint p;
-  p.n = n;
-  p.ratio_mean = stat.mean();
-  p.ratio_ci95 = stat.ci95();
-  p.ratio_p95 = samples.empty() ? 0.0 : util::quantile(samples, 0.95);
-  p.boxes_mean = s.boxes.mean();
-  p.trials = stat.count();
-  p.incomplete = s.incomplete;
-  return p;
-}
-
-namespace {
-
-/// Sweep n = b^k and build a Series from a per-n Monte-Carlo factory.
-template <typename MakeFactory>
-Series sweep(const std::string& name, const model::RegularParams& params,
-             const SweepOptions& options, MakeFactory&& make_factory) {
-  CADAPT_CHECK(options.kmin <= options.kmax);
-  Series series;
-  series.name = name;
-  for (unsigned k = options.kmin; k <= options.kmax; ++k) {
-    const std::uint64_t n = util::ipow(params.b, k);
-    engine::McOptions mc;
-    mc.trials = options.trials;
-    mc.seed = options.seed + k;  // decorrelate points
-    mc.placement = options.placement;
-    mc.semantics = options.semantics;
-    const engine::McSummary summary =
-        engine::run_monte_carlo(params, n, make_factory(n), mc);
-    series.points.push_back(
-        point_from_summary(n, summary, options.unit_progress));
-  }
-  return series;
-}
-
-/// Sweep n = b^k over a per-n custom trial runner (profile coupled to the
-/// execution through the trial seed).
-template <typename MakeRunner>
-Series sweep_custom(const std::string& name, const model::RegularParams& params,
-                    const SweepOptions& options, MakeRunner&& make_runner) {
-  CADAPT_CHECK(options.kmin <= options.kmax);
-  Series series;
-  series.name = name;
-  for (unsigned k = options.kmin; k <= options.kmax; ++k) {
-    const std::uint64_t n = util::ipow(params.b, k);
-    const engine::McSummary summary = engine::run_monte_carlo_custom(
-        options.trials, options.seed + k, make_runner(n));
-    series.points.push_back(
-        point_from_summary(n, summary, options.unit_progress));
-  }
-  return series;
-}
-
-}  // namespace
-
-double slope_vs_log_n(const Series& series, std::uint64_t b) {
-  CADAPT_CHECK(series.points.size() >= 2);
-  std::vector<double> xs, ys;
-  xs.reserve(series.points.size());
-  ys.reserve(series.points.size());
-  for (const auto& p : series.points) {
-    xs.push_back(static_cast<double>(util::ilog(p.n, b)));
-    ys.push_back(p.ratio_mean);
-  }
-  return util::fit_linear(xs, ys).slope;
-}
-
-Series worst_case_gap_curve(const model::RegularParams& params,
-                            const SweepOptions& options,
-                            std::uint64_t profile_a, std::uint64_t profile_b) {
-  const std::uint64_t pa = profile_a == 0 ? params.a : profile_a;
-  const std::uint64_t pb = profile_b == 0 ? params.b : profile_b;
-  std::ostringstream name;
-  name << params.name() << " on M_{" << pa << "," << pb << "}";
-  SweepOptions opts = options;
-  opts.trials = 1;  // deterministic
-  return sweep(name.str(), params, opts, [&params, pa, pb](std::uint64_t n) {
-    return worst_profile_source(params, n, pa, pb);
-  });
-}
-
-Series iid_curve(const model::RegularParams& params,
-                 const profile::BoxDistribution& dist,
-                 const SweepOptions& options) {
-  // Non-owning alias: the caller keeps `dist` alive for the duration of
-  // the sweep, as this signature always required.
-  std::shared_ptr<const profile::BoxDistribution> alias(
-      std::shared_ptr<const profile::BoxDistribution>(), &dist);
-  return sweep(params.name() + " on iid " + dist.name(), params, options,
-               [&alias](std::uint64_t) { return iid_source(alias); });
-}
-
-Series shuffled_worst_case_curve(const model::RegularParams& params,
-                                 const SweepOptions& options) {
-  return sweep(params.name() + " on shuffled M_{a,b}", params, options,
-               [&params](std::uint64_t n) {
-                 return shuffled_census_source(params, n);
-               });
-}
-
-Series size_perturb_curve(const model::RegularParams& params,
-                          const profile::PerturbSampler& sampler,
-                          const SweepOptions& options) {
-  return sweep(params.name() + " on size-perturbed M_{a,b}", params, options,
-               [&params, &sampler](std::uint64_t n) {
-                 return size_perturb_source(params, n, sampler);
-               });
-}
-
-Series cyclic_shift_curve(const model::RegularParams& params,
-                          const SweepOptions& options) {
-  return sweep(params.name() + " on cyclic-shifted M_{a,b}", params, options,
-               [&params](std::uint64_t n) {
-                 return cyclic_shift_source(params, n);
-               });
-}
-
-Series order_perturb_curve(const model::RegularParams& params,
-                           const SweepOptions& options, bool matched) {
-  const std::string name =
-      params.name() + " on order-perturbed M_{a,b}" +
-      (matched ? " (matched scans)" : " (canonical scans)");
-  return sweep_custom(name, params, options,
-                      [&params, matched, &options](std::uint64_t n) {
-                        return order_perturb_runner(params, n, matched,
-                                                    options.semantics);
-                      });
-}
-
-Series randomized_scan_curve(const model::RegularParams& params,
-                             const SweepOptions& options) {
-  const std::string name =
-      params.name() + " with per-node random scan placement on fixed M_{a,b}";
-  return sweep_custom(name, params, options,
-                      [&params, &options](std::uint64_t n) {
-                        return randomized_scan_runner(params, n,
-                                                      options.semantics);
-                      });
-}
-
-Series scan_hiding_curve(const model::RegularParams& params,
-                         const SweepOptions& options) {
-  SweepOptions opts = options;
-  opts.placement = engine::ScanPlacement::kInterleaved;
-  Series series = worst_case_gap_curve(params, opts);
-  series.name += " (interleaved scans)";
-  return series;
-}
 
 std::uint64_t measure_box_potential(const model::RegularParams& params,
                                     std::uint64_t n, std::uint64_t s,

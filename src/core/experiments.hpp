@@ -1,121 +1,15 @@
-// High-level experiment drivers — the public API a downstream user calls
-// to reproduce the paper's claims. Each function returns a Series of
-// (problem size, adaptivity ratio) points; the adaptivity ratio
-// Σ min(n,|□_i|)^{log_b a} / n^{log_b a} is Θ(1) for cache-adaptive
-// executions and Θ(log_b n) at the paper's worst case.
+// Single-execution probes of the paper's lemmas: measurements that are
+// not a (profile, n) ratio grid. The ratio curves are manifests under
+// bench/manifests/, run by `cadapt sweep` and tabulated by
+// `cadapt report info`.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "engine/exec.hpp"
-#include "engine/montecarlo.hpp"
 #include "model/regular.hpp"
-#include "profile/distributions.hpp"
-#include "profile/transforms.hpp"
+#include "profile/box_source.hpp"
 
 namespace cadapt::core {
-
-struct RatioPoint {
-  std::uint64_t n = 0;        ///< problem size (blocks)
-  double ratio_mean = 0;      ///< mean adaptivity ratio over trials
-  double ratio_ci95 = 0;      ///< 95% confidence half-width (0 if 1 trial)
-  double ratio_p95 = 0;       ///< 95th-percentile ratio (tail behaviour)
-  double boxes_mean = 0;      ///< mean boxes to completion (S_n)
-  std::uint64_t trials = 0;
-  std::uint64_t incomplete = 0;  ///< trials that did not finish (should be 0)
-};
-
-struct Series {
-  std::string name;
-  std::vector<RatioPoint> points;
-};
-
-/// Collapse a Monte-Carlo summary into one curve point. With
-/// unit_progress the operation-based (footnote 4) ratio is reported
-/// instead of the base-case-based one. This is the single place a summary
-/// becomes a reported statistic — the curves below and the campaign
-/// runner both go through it.
-RatioPoint point_from_summary(std::uint64_t n, const engine::McSummary& s,
-                              bool unit_progress = false);
-
-/// OLS slope of ratio_mean against log_b n. A Θ(log n) gap shows as a
-/// positive slope bounded away from 0; a cache-adaptive series has slope
-/// ≈ 0.
-double slope_vs_log_n(const Series& series, std::uint64_t b);
-
-/// Common sweep options.
-struct SweepOptions {
-  unsigned kmin = 2;          ///< smallest n = b^kmin
-  unsigned kmax = 7;          ///< largest n = b^kmax
-  std::uint64_t trials = 32;  ///< Monte-Carlo trials per point
-  std::uint64_t seed = 42;
-  engine::ScanPlacement placement = engine::ScanPlacement::kEnd;
-  engine::BoxSemantics semantics = engine::BoxSemantics::kOptimistic;
-  /// Report the operation-based (footnote 4) ratio instead of the
-  /// base-case-based one. The right choice for a <= b parameter sets.
-  bool unit_progress = false;
-};
-
-/// E2: run the algorithm on its own adversarial profile M_{a,b}(n) for
-/// n = b^k, k in [kmin, kmax]. Deterministic (one trial per point).
-/// profile_a/profile_b default to the algorithm's parameters; pass
-/// different values to run one algorithm against another's bad profile
-/// (e.g. MM-Inplace on MM-Scan's profile).
-Series worst_case_gap_curve(const model::RegularParams& params,
-                            const SweepOptions& options,
-                            std::uint64_t profile_a = 0,
-                            std::uint64_t profile_b = 0);
-
-/// E3 (Theorem 1): i.i.d. boxes from a fixed distribution Σ.
-Series iid_curve(const model::RegularParams& params,
-                 const profile::BoxDistribution& dist,
-                 const SweepOptions& options);
-
-/// E3 (Theorem 1, the paper's headline instance): i.i.d. boxes from the
-/// box-size census of M_{a,b}(n) itself — the "random reshuffle" of the
-/// adversarial profile.
-Series shuffled_worst_case_curve(const model::RegularParams& params,
-                                 const SweepOptions& options);
-
-/// E5 (negative): M_{a,b}(n) with every box size multiplied by an i.i.d.
-/// factor from `sampler` (paper's P over [0,t]).
-Series size_perturb_curve(const model::RegularParams& params,
-                          const profile::PerturbSampler& sampler,
-                          const SweepOptions& options);
-
-/// E6 (negative): cyclic shift of M_{a,b}(n) by a uniformly random box
-/// offset (profile repeats cyclically so the run always completes).
-Series cyclic_shift_curve(const model::RegularParams& params,
-                          const SweepOptions& options);
-
-/// E7 (negative): order-perturbed recursive construction (size-n box after
-/// a random recursive instance at every level).
-///
-/// With matched = true the execution uses ScanPlacement::kAdversaryMatched
-/// with the profile's seed: the (a,b,1)-regular algorithm whose scan
-/// placement mirrors the perturbation. The paper's claim — the perturbed
-/// profile stays worst-case with probability one — is witnessed by this
-/// matched algorithm (ratio Θ(log n)). With matched = false the canonical
-/// trailing-scan algorithm runs instead and largely escapes the profile
-/// (an instructive non-claim: the profile is worst-case for *some*
-/// algorithm in the class, not for every algorithm).
-Series order_perturb_curve(const model::RegularParams& params,
-                           const SweepOptions& options, bool matched = false);
-
-/// E12 (extension): the same adversarial profile, but the algorithm
-/// interleaves its scans (ScanPlacement::kInterleaved) — a lightweight
-/// scan-hiding transform.
-Series scan_hiding_curve(const model::RegularParams& params,
-                         const SweepOptions& options);
-
-/// E18 (beyond the paper): the profile is the FIXED adversarial
-/// M_{a,b}(n); each trial randomizes the ALGORITHM's per-node scan
-/// placement instead (ScanPlacement::kAdversaryMatched with a per-trial
-/// seed the profile knows nothing about).
-Series randomized_scan_curve(const model::RegularParams& params,
-                             const SweepOptions& options);
 
 /// E8 (Lemma 1): empirical potential of a box of size s against a problem
 /// of size n: max progress observed over `samples` random placements plus

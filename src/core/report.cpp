@@ -4,37 +4,9 @@
 #include <sstream>
 
 #include "obs/recorder.hpp"
-#include "util/math.hpp"
 #include "util/table.hpp"
 
 namespace cadapt::core {
-
-void print_series(std::ostream& os, const Series& series,
-                  const ReportOptions& options) {
-  os << "\n--- " << series.name << " ---\n";
-  util::Table table(
-      {"n", "log_b n", "ratio", "ci95", "p95", "E[boxes]", "trials"});
-  for (const auto& p : series.points) {
-    table.row()
-        .cell(p.n)
-        .cell(static_cast<std::uint64_t>(util::ilog(p.n, options.log_base)))
-        .cell(p.ratio_mean, 3)
-        .cell(p.ratio_ci95, 3)
-        .cell(p.ratio_p95, 3)
-        .cell(p.boxes_mean, 1)
-        .cell(p.trials);
-  }
-  table.print(os);
-  if (series.points.size() >= 2) {
-    os << "slope of ratio vs log_b n: "
-       << util::format_double(slope_vs_log_n(series, options.log_base), 3)
-       << "   (Θ(1) ratio => slope ~ 0; full log gap => slope ~ 1)\n";
-  }
-  if (options.csv) {
-    os << "csv:series," << series.name << '\n';
-    table.print_csv(os);
-  }
-}
 
 namespace {
 

@@ -1,10 +1,8 @@
-// Rendering of experiment series — shared by the bench harness and the
-// cadapt CLI.
+// Summary tables for instrumented runs — the human-readable side of the
+// `cadapt trace` JSONL stream.
 #pragma once
 
 #include <iosfwd>
-
-#include "core/experiments.hpp"
 
 namespace cadapt::obs {
 class ExecRecorder;
@@ -13,18 +11,6 @@ class PagingRecorder;
 }  // namespace cadapt::obs
 
 namespace cadapt::core {
-
-struct ReportOptions {
-  /// Base b for the log_b n column and the slope fit.
-  std::uint64_t log_base = 4;
-  /// Additionally emit the series as a CSV block.
-  bool csv = false;
-};
-
-/// Print a ratio series as an aligned table plus the fitted slope of the
-/// ratio against log_b n.
-void print_series(std::ostream& os, const Series& series,
-                  const ReportOptions& options);
 
 /// Per-size-class breakdown of one instrumented execution: for each box
 /// size class (floor log2 |□|) the boxes seen, Σ|□|, base-case progress,

@@ -2,10 +2,9 @@
 // is "run an (a,b,c)-regular execution against boxes from X", and each
 // builder here packages one X as a self-contained engine trial factory.
 //
-// The experiment curves (core/experiments.cpp) and the campaign sweep
-// runner (campaign/cell_runner.cpp) both consume these, so a manifest
-// cell named `worst` measures exactly what bench_e2's curve measures —
-// one definition, two drivers.
+// The campaign sweep runner (campaign/cell_runner.cpp) builds every ratio
+// cell from these, and the property tests drive them directly for the
+// series no manifest token spells — one definition of each workload.
 //
 // Every builder copies or owns what it captures; the returned functor has
 // no dangling references and may outlive all arguments.

@@ -30,8 +30,8 @@
 #include "robust/checkpoint.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "stats/streaming.hpp"
 #include "util/random.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cadapt::engine {
@@ -121,9 +121,9 @@ struct McSummary {
   ///   ratio_samples.size() + incomplete + failed == trials_run
   /// `boxes` covers all non-failed trials (an incomplete trial spent
   /// max_boxes; a failed trial's spend is unknowable mid-exception).
-  util::RunningStat ratio;       ///< adaptivity ratio per completed trial
-  util::RunningStat unit_ratio;  ///< operation-based ratio per completed trial
-  util::RunningStat boxes;       ///< boxes consumed per non-failed trial
+  stats::Welford ratio;       ///< adaptivity ratio per completed trial
+  stats::Welford unit_ratio;  ///< operation-based ratio per completed trial
+  stats::Welford boxes;       ///< boxes consumed per non-failed trial
   std::uint64_t incomplete = 0;  ///< trials that hit the box cap / exhaustion
   /// Of the incomplete trials, how many stopped on the max_boxes cap
   /// (StopReason::kBoxCapHit); the rest exhausted their finite source.

@@ -5,8 +5,8 @@
 #include "obs/counters.hpp"
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
+#include "stats/streaming.hpp"
 #include "util/check.hpp"
-#include "util/stats.hpp"
 
 namespace cadapt::obs {
 
@@ -166,7 +166,7 @@ void McRecorder::on_trial_error(const TrialErrorObservation& error) {
 
 void McRecorder::finish(const McFinish& info) {
   if (sink_ == nullptr) return;
-  util::RunningStat ratio;
+  stats::Welford ratio;
   std::uint64_t incomplete = 0;
   std::uint64_t capped = 0;
   for (const TrialObservation& t : trials_) {

@@ -9,6 +9,7 @@
 #include "obs/event.hpp"
 #include "stats/fit.hpp"
 #include "util/check.hpp"
+#include "util/table.hpp"
 
 namespace cadapt::report {
 
@@ -184,10 +185,9 @@ campaign::Report CellStore::to_report() const {
   return report;
 }
 
-void CellStore::recompute_fits() {
-  // The columnar twin of campaign::compute_fits: group ratio cells
-  // (non-empty algo, empty sort) by (algo, profile) in first-appearance
-  // order. Dictionary ids are bijective with tokens inside one store, so
+std::vector<std::pair<CellStore::SeriesKey, std::vector<std::size_t>>>
+CellStore::ratio_series() const {
+  // Dictionary ids are bijective with tokens inside one store, so
   // grouping by id pair IS grouping by string pair.
   std::vector<char> algo_nonempty(algo_dict.size());
   for (std::size_t id = 0; id < algo_dict.size(); ++id) {
@@ -199,22 +199,25 @@ void CellStore::recompute_fits() {
     sort_empty[id] =
         sort_dict.token(static_cast<std::uint32_t>(id)).empty();
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::size_t>>
-      series;
+  std::vector<std::pair<SeriesKey, std::vector<std::size_t>>> groups;
+  std::map<SeriesKey, std::size_t> slot;
   for (std::size_t row = 0; row < cell_count(); ++row) {
     if (algo_nonempty[algo_id[row]] == 0 || sort_empty[sort_id[row]] == 0) {
       continue;
     }
-    const auto key = std::make_pair(algo_id[row], profile_id[row]);
-    auto [it, inserted] = series.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.push_back(row);
+    const SeriesKey key{algo_id[row], profile_id[row]};
+    auto [it, inserted] = slot.try_emplace(key, groups.size());
+    if (inserted) groups.emplace_back(key, std::vector<std::size_t>{});
+    groups[it->second].second.push_back(row);
   }
+  return groups;
+}
 
+void CellStore::recompute_fits() {
+  // The columnar twin of campaign::compute_fits: fit every ratio series
+  // with >= 2 distinct n and no empty cells.
   fits.clear();
-  for (const auto& key : order) {
-    const std::vector<std::size_t>& rows = series.at(key);
+  for (const auto& [key, rows] : ratio_series()) {
     std::vector<std::uint64_t> ns;
     std::vector<double> means;
     bool usable = true;
@@ -241,6 +244,37 @@ void CellStore::recompute_fits() {
     out.expected =
         campaign::algo_expected_exponent(algo_dict.token(key.first));
     fits.push_back(out);
+  }
+}
+
+void CellStore::write_series_tables(std::ostream& os) const {
+  for (const auto& [key, rows] : ratio_series()) {
+    os << "\n--- " << algo_dict.token(key.first) << " / "
+       << profile_dict.token(key.second) << " ---\n";
+    util::Table table({"n", "k", "mean", "ci_lo", "ci_hi", "q95",
+                       "boxes_mean", "completed"});
+    std::vector<double> ks;
+    std::vector<double> means;
+    for (const std::size_t row : rows) {
+      table.row()
+          .cell(n[row])
+          .cell(static_cast<std::uint64_t>(k[row]))
+          .cell(mean[row], 3)
+          .cell(ci_lo[row], 3)
+          .cell(ci_hi[row], 3)
+          .cell(q95[row], 3)
+          .cell(boxes_mean[row], 1)
+          .cell(completed[row]);
+      ks.push_back(k[row]);
+      means.push_back(mean[row]);
+    }
+    table.print(os);
+    if (rows.size() >= 2) {
+      os << algo_dict.token(key.first) << " / "
+         << profile_dict.token(key.second) << ": slope of mean vs k = "
+         << util::format_double(stats::fit_linear(ks, means).slope, 3)
+         << "\n";
+    }
   }
 }
 

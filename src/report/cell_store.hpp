@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/report.hpp"
@@ -144,6 +145,13 @@ class CellStore {
   /// bit-identical fit rows (same stats::fit_power_law inputs).
   void recompute_fits();
 
+  /// Print one table per ratio series — the (algo, profile) groups
+  /// recompute_fits fits, in the same order: n, k, mean, bootstrap CI,
+  /// q95, boxes_mean and completed per cell, then the OLS slope of mean
+  /// against k (= log_b n; Θ(1) ratio => slope ~ 0, the full log gap =>
+  /// slope 1). `cadapt report info` prints this at full grid coverage.
+  void write_series_tables(std::ostream& os) const;
+
   /// Render the exact bytes campaign::write_report emits for the
   /// equivalent Report — one line per sink call, '\n' included. Goes
   /// through the same cell_event/to_jsonl encoders, so equivalence is
@@ -166,6 +174,13 @@ class CellStore {
   /// same util::ParseError messages, sums wall_ms, ORs truncation, and
   /// recomputes fits.
   static CellStore merge(std::vector<CellStore> parts);
+
+ private:
+  using SeriesKey = std::pair<std::uint32_t, std::uint32_t>;  ///< ids
+  /// Ratio cells (non-empty algo, empty sort) grouped by (algo, profile)
+  /// id pair in first-appearance order; each group lists its rows.
+  std::vector<std::pair<SeriesKey, std::vector<std::size_t>>> ratio_series()
+      const;
 };
 
 /// Streaming writer: appends finished cells straight into columns —

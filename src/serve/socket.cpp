@@ -112,21 +112,27 @@ bool LineReader::fill() {
 
 std::optional<std::string> LineReader::next() {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n', pos_);
+    // Search only bytes no earlier call has scanned, so a long line
+    // arriving over many fills costs linear, not quadratic, time.
+    const std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(pos_, nl - pos_);
       pos_ = nl + 1;
+      scanned_ = pos_;
       return line;
     }
+    scanned_ = buffer_.size();
     // Compact consumed bytes before growing the buffer.
     if (pos_ > 0) {
       buffer_.erase(0, pos_);
+      scanned_ -= pos_;
       pos_ = 0;
     }
     if (!fill()) {
       if (buffer_.empty()) return std::nullopt;
       std::string line = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return line;
     }
   }
@@ -136,6 +142,7 @@ std::string LineReader::remaining() {
   std::string out = buffer_.substr(pos_);
   buffer_.clear();
   pos_ = 0;
+  scanned_ = 0;
   while (fill()) {
     out += buffer_;
     buffer_.clear();

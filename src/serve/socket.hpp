@@ -49,7 +49,8 @@ class LineReader {
 
   int fd_;
   std::string buffer_;
-  std::size_t pos_ = 0;
+  std::size_t pos_ = 0;      ///< start of the unread line
+  std::size_t scanned_ = 0;  ///< bytes before this hold no '\n' past pos_
 };
 
 }  // namespace cadapt::serve

@@ -1,10 +1,8 @@
 // Streaming (one-pass) moment accumulation — the statistics kernel every
-// experiment in this repo consumes (src/stats is the single home for it;
-// util/stats.hpp re-exports these names for older call sites).
+// experiment in this repo consumes (src/stats is the single home for it).
 //
-// Header-only on purpose: cadapt_util's compatibility shim includes this
-// file, and util sits below stats in the library DAG, so the streaming
-// kernel must not require linking cadapt_stats.
+// Header-only on purpose: engine and obs accumulate with it without
+// linking cadapt_stats.
 #pragma once
 
 #include <algorithm>

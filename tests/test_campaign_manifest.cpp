@@ -4,6 +4,8 @@
 // config_hash regardless of formatting), and plan expansion must be a
 // pure deterministic function of the manifest — cell indices are the
 // address space for checkpoints, shards, and reports.
+#include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -381,6 +383,24 @@ TEST(Plan, ShardsRoundRobinAndCoverTheGrid) {
 
   EXPECT_THROW(campaign::shard_cells(plan, 0, 0), util::UsageError);
   EXPECT_THROW(campaign::shard_cells(plan, 2, 2), util::UsageError);
+}
+
+// Every committed manifest (the paper's curves and the gate campaigns)
+// must parse and plan, and campaign names must be unique — reports and
+// checkpoints are labelled by name.
+TEST(ManifestCorpus, EveryCommittedManifestPlansWithAUniqueName) {
+  std::set<std::string> names;
+  std::size_t manifests = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CADAPT_MANIFEST_DIR)) {
+    if (entry.path().extension() != ".manifest") continue;
+    ++manifests;
+    SCOPED_TRACE(entry.path().string());
+    const Manifest m = campaign::parse_manifest_file(entry.path().string());
+    EXPECT_FALSE(campaign::expand_plan(m).cells.empty());
+    EXPECT_TRUE(names.insert(m.name).second) << "duplicate name " << m.name;
+  }
+  EXPECT_GE(manifests, 1u);
 }
 
 }  // namespace

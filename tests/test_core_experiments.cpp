@@ -1,79 +1,103 @@
+// The paper's ratio curves as in-memory manifests run through the
+// campaign (the same path `cadapt sweep` takes), plus the single-
+// execution probes of core/experiments.
 #include "core/experiments.hpp"
 
 #include <gtest/gtest.h>
 
-#include "profile/distributions.hpp"
-#include "profile/transforms.hpp"
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "campaign/manifest.hpp"
+#include "campaign/plan.hpp"
+#include "campaign/report.hpp"
+#include "campaign/sweep.hpp"
+#include "profile/box_source.hpp"
+#include "profile/worst_case.hpp"
+#include "stats/fit.hpp"
 #include "util/math.hpp"
 
 namespace cadapt::core {
 namespace {
 
+using campaign::CellResult;
 using model::RegularParams;
 
-SweepOptions quick_sweep(unsigned kmin, unsigned kmax, std::uint64_t trials) {
-  SweepOptions opts;
-  opts.kmin = kmin;
-  opts.kmax = kmax;
-  opts.trials = trials;
-  opts.seed = 7;
-  return opts;
+/// Run a one-algo, one-profile manifest and return its cells (ascending
+/// k). `extra` appends manifest lines (semantics, unit_progress).
+std::vector<CellResult> curve(const std::string& algo,
+                              const std::string& profile, unsigned kmin,
+                              unsigned kmax, std::uint64_t trials,
+                              const std::string& extra = "") {
+  std::ostringstream manifest;
+  manifest << "name = curve\nalgos = " << algo << "\nprofiles = " << profile
+           << "\nk = " << kmin << ".." << kmax << "\ntrials = " << trials
+           << "\nseed = 7\n"
+           << extra;
+  std::istringstream in(manifest.str());
+  campaign::SweepOptions options;
+  options.timing = false;
+  return campaign::run_sweep(
+             campaign::expand_plan(campaign::parse_manifest(in)), options)
+      .cells;
+}
+
+/// OLS slope of the cell means against k (= log_b n).
+double slope(const std::vector<CellResult>& cells) {
+  std::vector<double> ks, means;
+  for (const CellResult& cell : cells) {
+    ks.push_back(cell.k);
+    means.push_back(cell.mean);
+  }
+  return stats::fit_linear(ks, means).slope;
 }
 
 TEST(WorstCaseGap, RatioIsExactlyLogPlusOne) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series = worst_case_gap_curve(params, quick_sweep(1, 5, 1));
-  ASSERT_EQ(series.points.size(), 5u);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
-    const unsigned k = 1 + static_cast<unsigned>(i);
-    EXPECT_NEAR(series.points[i].ratio_mean, k + 1.0, 1e-9) << k;
-    EXPECT_EQ(series.points[i].incomplete, 0u);
+  const auto cells = curve("8:4:1", "worst", 1, 5, 1);
+  ASSERT_EQ(cells.size(), 5u);
+  for (const CellResult& cell : cells) {
+    EXPECT_NEAR(cell.mean, cell.k + 1.0, 1e-9) << cell.k;
+    EXPECT_EQ(cell.incomplete, 0u);
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 1.0, 1e-9);
+  EXPECT_NEAR(slope(cells), 1.0, 1e-9);
 }
 
 TEST(WorstCaseGap, InplaceVariantIsFlatOnScanProfile) {
   // (8,4,0) running on M_{8,4}: the in-place algorithm is cache-adaptive,
   // so its ratio stays O(1) with near-zero slope.
-  const RegularParams inplace{8, 4, 0.0};
-  const Series series =
-      worst_case_gap_curve(inplace, quick_sweep(1, 5, 1), 8, 4);
-  const double slope = slope_vs_log_n(series, 4);
-  EXPECT_LT(slope, 0.25) << slope;
-  for (const auto& p : series.points) {
-    EXPECT_LT(p.ratio_mean, 4.0) << p.n;
-    EXPECT_EQ(p.incomplete, 0u);
+  const auto cells = curve("8:4:0", "worst", 1, 5, 1);
+  const double s = slope(cells);
+  EXPECT_LT(s, 0.25) << s;
+  for (const CellResult& cell : cells) {
+    EXPECT_LT(cell.mean, 4.0) << cell.n;
+    EXPECT_EQ(cell.incomplete, 0u);
   }
 }
 
 TEST(IidSmoothing, RatioStaysBoundedUnderUniformPowers) {
-  const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 4);
-  const Series series = iid_curve(params, dist, quick_sweep(2, 5, 24));
-  for (const auto& p : series.points) {
-    EXPECT_EQ(p.incomplete, 0u);
-    EXPECT_LT(p.ratio_mean, 20.0) << p.n;
+  const auto cells = curve("8:4:1", "iid:uniform-powers:0:4", 2, 5, 24);
+  for (const CellResult& cell : cells) {
+    EXPECT_EQ(cell.incomplete, 0u);
+    EXPECT_LT(cell.mean, 20.0) << cell.n;
   }
   // Bounded: much flatter than the worst-case slope of 1.
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.6);
+  EXPECT_LT(slope(cells), 0.6);
 }
 
 TEST(IidSmoothing, ShuffledWorstCaseIsAdaptive) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series =
-      shuffled_worst_case_curve(params, quick_sweep(2, 6, 24));
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.5);
+  const auto cells = curve("8:4:1", "shuffled", 2, 6, 24);
+  for (const CellResult& cell : cells) EXPECT_EQ(cell.incomplete, 0u);
+  EXPECT_LT(slope(cells), 0.5);
 }
 
 TEST(NegativeResults, CyclicShiftKeepsTheGap) {
-  const RegularParams params{8, 4, 1.0};
-  const Series shifted = cyclic_shift_curve(params, quick_sweep(3, 6, 16));
-  for (const auto& p : shifted.points) EXPECT_EQ(p.incomplete, 0u);
+  const auto cells = curve("8:4:1", "shifted", 3, 6, 16);
+  for (const CellResult& cell : cells) EXPECT_EQ(cell.incomplete, 0u);
   // In expectation the shifted profile remains worst-case: the ratio must
   // keep growing with log n (slope bounded away from 0; the paper only
   // guarantees a constant fraction of the full gap).
-  EXPECT_GT(slope_vs_log_n(shifted, 4), 0.3);
+  EXPECT_GT(slope(cells), 0.3);
 }
 
 TEST(NegativeResults, OrderPerturbationWorstCaseForMatchedAlgorithm) {
@@ -82,18 +106,16 @@ TEST(NegativeResults, OrderPerturbationWorstCaseForMatchedAlgorithm) {
   // algorithm whose scan placement mirrors the perturbation, under the
   // budgeted (disjoint-scan) box semantics. The consumption is then
   // exactly aligned: ratio = log_b n + 1 deterministically.
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(2, 5, 6);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = order_perturb_curve(params, opts, /*matched=*/true);
-  ASSERT_EQ(series.points.size(), 4u);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
-    const double k = 2.0 + static_cast<double>(i);
-    EXPECT_NEAR(series.points[i].ratio_mean, k + 1.0, 1e-9);
-    EXPECT_NEAR(series.points[i].ratio_ci95, 0.0, 1e-9);  // deterministic
-    EXPECT_EQ(series.points[i].incomplete, 0u);
+  const auto cells =
+      curve("8:4:1", "order-matched", 2, 5, 6, "semantics = budgeted\n");
+  ASSERT_EQ(cells.size(), 4u);
+  for (const CellResult& cell : cells) {
+    EXPECT_NEAR(cell.mean, cell.k + 1.0, 1e-9);
+    // Deterministic: the bootstrap interval collapses to the mean.
+    EXPECT_NEAR((cell.ci_hi - cell.ci_lo) / 2.0, 0.0, 1e-9);
+    EXPECT_EQ(cell.incomplete, 0u);
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 1.0, 1e-9);
+  EXPECT_NEAR(slope(cells), 1.0, 1e-9);
 }
 
 TEST(NegativeResults, OrderPerturbationEscapedByCanonicalAlgorithm) {
@@ -101,44 +123,49 @@ TEST(NegativeResults, OrderPerturbationEscapedByCanonicalAlgorithm) {
   // algorithm largely escapes the order-perturbed profile under the
   // optimistic §4 semantics, because the misplaced big boxes land
   // mid-problem and get credited with completing it.
-  const RegularParams params{8, 4, 1.0};
-  const Series series =
-      order_perturb_curve(params, quick_sweep(2, 5, 12), /*matched=*/false);
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.3);
+  const auto cells = curve("8:4:1", "order", 2, 5, 12);
+  for (const CellResult& cell : cells) EXPECT_EQ(cell.incomplete, 0u);
+  EXPECT_LT(slope(cells), 0.3);
 }
 
 TEST(Semantics, WorstCaseGapIdenticalUnderBudgetedSemantics) {
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(1, 5, 1);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = worst_case_gap_curve(params, opts);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
-    EXPECT_NEAR(series.points[i].ratio_mean, 2.0 + static_cast<double>(i),
-                1e-9);
+  const auto cells = curve("8:4:1", "worst", 1, 5, 1, "semantics = budgeted\n");
+  for (const CellResult& cell : cells) {
+    EXPECT_NEAR(cell.mean, cell.k + 1.0, 1e-9);
   }
 }
 
 TEST(Semantics, ShuffledProfileAdaptiveUnderBudgetedSemanticsToo) {
   // Theorem 1 is robust to the conservative box model: i.i.d. boxes keep
   // the ratio bounded under kBudgeted as well.
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(2, 5, 16);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = shuffled_worst_case_curve(params, opts);
-  for (const auto& p : series.points) {
-    EXPECT_EQ(p.incomplete, 0u);
-    EXPECT_LT(p.ratio_mean, 25.0) << p.n;
+  const auto cells =
+      curve("8:4:1", "shuffled", 2, 5, 16, "semantics = budgeted\n");
+  for (const CellResult& cell : cells) {
+    EXPECT_EQ(cell.incomplete, 0u);
+    EXPECT_LT(cell.mean, 25.0) << cell.n;
   }
-  EXPECT_LT(slope_vs_log_n(series, 4), 1.0);
+  EXPECT_LT(slope(cells), 1.0);
 }
 
-TEST(NegativeResults, SizePerturbationKeepsTheGap) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series = size_perturb_curve(
-      params, profile::uniform_int_perturb(2), quick_sweep(2, 5, 12));
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_GT(slope_vs_log_n(series, 4), 0.3);
+TEST(CrossProperties, UnitProgressPlumbedThroughCurves) {
+  // `unit_progress = 1` must switch the reported statistic: the two
+  // readings differ for a < b on its worst-case profile.
+  const auto leaves = curve("2:4:1", "worst", 3, 5, 1);
+  const auto units = curve("2:4:1", "worst", 3, 5, 1, "unit_progress = 1\n");
+  ASSERT_EQ(leaves.size(), units.size());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_GT(leaves[i].mean, units[i].mean + 0.5);
+  }
+}
+
+TEST(RatioPoints, P95PopulatedAndPlausible) {
+  for (const CellResult& cell : curve("8:4:1", "shuffled", 3, 4, 32)) {
+    EXPECT_GT(cell.q95, 0.0) << cell.n;
+    // The 95th percentile sits near or above the mean and within a small
+    // multiple of it for these well-behaved distributions.
+    EXPECT_GE(cell.q95, 0.8 * cell.mean) << cell.n;
+    EXPECT_LE(cell.q95, 4.0 * cell.mean) << cell.n;
+  }
 }
 
 TEST(BoxPotential, MatchesLemma1UpToConstants) {
@@ -161,16 +188,31 @@ TEST(NoCatchup, NeverViolated) {
   }
 }
 
-TEST(SlopeHelper, LinearSeriesFitsExactly) {
-  Series series;
-  series.name = "synthetic";
-  for (unsigned k = 1; k <= 5; ++k) {
-    RatioPoint p;
-    p.n = util::ipow(4, k);
-    p.ratio_mean = 2.0 * k + 1.0;
-    series.points.push_back(p);
+TEST(CountCompletions, ScanVariantCompletesExactlyOnce) {
+  for (unsigned k = 3; k <= 6; ++k) {
+    const std::uint64_t n = util::ipow(4, k);
+    profile::WorstCaseSource source(8, 4, n);
+    EXPECT_EQ(count_completions({8, 4, 1.0}, n, source), 1u) << n;
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 2.0, 1e-12);
+}
+
+TEST(CountCompletions, InplaceVariantCompletesLogTimes) {
+  // §3: MM-Inplace performs log_b n + 1 multiplies on MM-Scan's profile.
+  for (unsigned k = 3; k <= 6; ++k) {
+    const std::uint64_t n = util::ipow(4, k);
+    profile::WorstCaseSource source(8, 4, n);
+    EXPECT_EQ(count_completions({8, 4, 0.0}, n, source), k + 1) << n;
+  }
+}
+
+TEST(CountCompletions, EmptyProfileCompletesNothing) {
+  profile::VectorSource source({});
+  EXPECT_EQ(count_completions({8, 4, 1.0}, 64, source), 0u);
+}
+
+TEST(CountCompletions, MaxRunsCap) {
+  profile::VectorSource source({1}, /*cycle=*/true);
+  EXPECT_EQ(count_completions({2, 2, 1.0}, 2, source, 5), 5u);
 }
 
 }  // namespace

@@ -197,6 +197,63 @@ TEST(CellStore, DictionariesInternInFirstAppearanceOrder) {
 
 // ---- merge equivalence ---------------------------------------------
 
+// ---- ratio series tables (`cadapt report info`) -------------------
+
+/// A ratio series 8:4:1 / worst over k = 1..3 with mean = slope_k * k + 1
+/// and fixed CI/q95/boxes columns, plus one sort cell that must not be
+/// tabulated.
+CellStore synthetic_series(double slope_k) {
+  Report report;
+  report.name = "synthetic";
+  report.cells_total = 4;
+  for (unsigned k = 1; k <= 3; ++k) {
+    CellResult cell;
+    cell.index = k - 1;
+    cell.algo = "8:4:1";
+    cell.profile = "worst";
+    cell.k = k;
+    cell.n = std::uint64_t{1} << (2 * k);
+    cell.trials = cell.completed = 1;
+    cell.mean = slope_k * k + 1.0;
+    cell.samples = {cell.mean};
+    cell.ci_lo = cell.mean - 0.25;
+    cell.ci_hi = cell.mean + 0.25;
+    cell.q95 = cell.mean + 0.5;
+    cell.boxes_mean = 10.0 * k;
+    report.cells.push_back(cell);
+  }
+  CellResult sort;
+  sort.index = 3;
+  sort.sort = "funnel";
+  sort.profile = "const:64";
+  report.cells.push_back(sort);
+  return CellStore::from_report(report);
+}
+
+TEST(Report, TableContainsAllColumns) {
+  std::ostringstream os;
+  synthetic_series(1.0).write_series_tables(os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("--- 8:4:1 / worst ---"), std::string::npos) << out;
+  for (const char* column : {"n", "k", "mean", "ci_lo", "ci_hi", "q95",
+                             "boxes_mean", "completed"}) {
+    EXPECT_NE(out.find(column), std::string::npos) << column;
+  }
+  EXPECT_NE(out.find("2.750"), std::string::npos) << out;  // ci_hi at k=1
+  EXPECT_NE(out.find("30.0"), std::string::npos) << out;   // boxes at k=3
+  EXPECT_NE(out.find("8:4:1 / worst: slope of mean vs k = 1.000"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("funnel"), std::string::npos) << out;
+}
+
+TEST(SlopeHelper, LinearSeriesFitsExactly) {
+  std::ostringstream os;
+  synthetic_series(2.0).write_series_tables(os);
+  EXPECT_NE(os.str().find("slope of mean vs k = 2.000"), std::string::npos)
+      << os.str();
+}
+
 TEST(CellStoreMerge, MatchesRowMergeByteForByte) {
   const Report full = random_report(41, 60);
   // Round-robin shards, like the sweep planner.

@@ -7,18 +7,24 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/manifest.hpp"
 #include "campaign/sweep.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
+#include "serve/socket.hpp"
 #include "serve/spool.hpp"
 #include "util/check.hpp"
 
@@ -165,6 +171,52 @@ TEST(FairScheduler, RemoveJobDropsPendingCells) {
 }
 
 // ---- protocol --------------------------------------------------------
+
+/// Feed `bytes` into a LineReader through a socket pair, `chunk` bytes
+/// per write from a writer thread, and hand the reader to `read`.
+template <typename Read>
+void read_through_socket(const std::string& bytes, std::size_t chunk,
+                         Read&& read) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] {
+    for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+      const std::size_t len = std::min(chunk, bytes.size() - at);
+      ASSERT_EQ(::write(fds[1], bytes.data() + at, len),
+                static_cast<ssize_t>(len));
+    }
+    ::close(fds[1]);
+  });
+  LineReader reader(fds[0]);
+  read(reader);
+  writer.join();
+  ::close(fds[0]);
+}
+
+TEST(LineReader, RoundTripsAMegabyteLine) {
+  std::string big(3u << 19, 'x');  // 1.5 MiB, ~384 fills of 4 KiB
+  for (std::size_t i = 0; i < big.size(); i += 4093) big[i] = 'y';
+  read_through_socket(big + "\ntail", 64 * 1024, [&](LineReader& reader) {
+    EXPECT_EQ(reader.next(), big);
+    EXPECT_EQ(reader.next(), "tail");  // unterminated final chunk
+    EXPECT_EQ(reader.next(), std::nullopt);
+  });
+}
+
+TEST(LineReader, ReassemblesLinesSplitAcrossManyFills) {
+  std::vector<std::string> lines;
+  std::string bytes;
+  for (std::size_t i = 0; i < 12; ++i) {
+    lines.push_back(std::string(3000 + 997 * i, static_cast<char>('a' + i)));
+    bytes += lines.back() + "\n";
+  }
+  lines.push_back("");  // an empty line survives too
+  bytes += "\nrest of stream\n";
+  read_through_socket(bytes, 1000, [&](LineReader& reader) {
+    for (const std::string& line : lines) EXPECT_EQ(reader.next(), line);
+    EXPECT_EQ(reader.remaining(), "rest of stream\n");
+  });
+}
 
 TEST(ServeProtocol, SubmitRoundTripsThroughJsonl) {
   SubmitRequest request;

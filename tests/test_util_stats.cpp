@@ -1,18 +1,25 @@
-#include "util/stats.hpp"
-
+// Small fixed-input cases of the stats kernel (test_stats.cpp holds the
+// statistical ones): exact moments and min/max, the empty/single
+// accumulator, merges, exact and low-r² fits, quantile interpolation and
+// argument validation.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
+#include <vector>
 
+#include "stats/fit.hpp"
+#include "stats/quantiles.hpp"
+#include "stats/streaming.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
-namespace cadapt::util {
+namespace cadapt::stats {
 namespace {
 
+using util::CheckError;
+
 TEST(RunningStat, BasicMoments) {
-  RunningStat s;
+  Welford s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
@@ -22,7 +29,7 @@ TEST(RunningStat, BasicMoments) {
 }
 
 TEST(RunningStat, EmptyAndSingle) {
-  RunningStat s;
+  Welford s;
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   s.add(42.0);
@@ -32,8 +39,8 @@ TEST(RunningStat, EmptyAndSingle) {
 }
 
 TEST(RunningStat, MergeEqualsSequential) {
-  Rng rng(9);
-  RunningStat all, a, b;
+  util::Rng rng(9);
+  Welford all, a, b;
   for (int i = 0; i < 1000; ++i) {
     const double x = rng.uniform01() * 10.0;
     all.add(x);
@@ -48,7 +55,7 @@ TEST(RunningStat, MergeEqualsSequential) {
 }
 
 TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, b;
+  Welford a, b;
   a.add(1.0);
   a.merge(b);
   EXPECT_EQ(a.count(), 1u);
@@ -82,17 +89,17 @@ TEST(FitLinear, RejectsDegenerateInput) {
 }
 
 TEST(Quantile, InterpolatesOrderStatistics) {
-  std::vector<double> v{4, 1, 3, 2};
-  EXPECT_DOUBLE_EQ(quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(quantile(v, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(quantile({7.0}, 0.3), 7.0);
+  const std::vector<double> v{4, 1, 3, 2};
+  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(exact_quantile(v, 1.0), 4.0);
+  EXPECT_DOUBLE_EQ(exact_quantile(v, 0.5), 2.5);
+  EXPECT_DOUBLE_EQ(exact_quantile({7.0}, 0.3), 7.0);
 }
 
 TEST(Quantile, RejectsBadArgs) {
-  EXPECT_THROW(quantile({}, 0.5), CheckError);
-  EXPECT_THROW(quantile({1.0}, 1.5), CheckError);
+  EXPECT_THROW(exact_quantile({}, 0.5), CheckError);
+  EXPECT_THROW(exact_quantile({1.0}, 1.5), CheckError);
 }
 
 }  // namespace
-}  // namespace cadapt::util
+}  // namespace cadapt::stats
