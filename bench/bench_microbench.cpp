@@ -5,10 +5,13 @@
 // of boxes.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "algos/funnelsort.hpp"
 #include "algos/sim_data.hpp"
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
+#include "core/workloads.hpp"
 #include "engine/analytic.hpp"
 #include "engine/exec.hpp"
 #include "engine/montecarlo.hpp"
@@ -20,6 +23,7 @@
 #include "paging/reference_lru.hpp"
 #include "profile/box_source.hpp"
 #include "profile/distributions.hpp"
+#include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
 #include "sched/deque.hpp"
 #include "util/math.hpp"
@@ -156,6 +160,57 @@ void BM_EngineRunBoxesRecorded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
 }
 BENCHMARK(BM_EngineRunBoxesRecorded)->Arg(6)->Arg(10);
+
+// Theorem 1's random box streams through the default bulk driver, one Arg
+// per profile of the smoothed benchmark (8:4:1, k = 6). All but `shifted`
+// run box by box, so items/sec is the random-stream path's boxes/s
+// (docs/PERF.md, "Random-stream path"). Each iteration is one trial with
+// a fresh seed.
+void BM_EngineRunSmoothed(benchmark::State& state) {
+  const model::RegularParams p{8, 4, 1.0};
+  const std::uint64_t n = util::ipow(4, 6);
+  engine::TrialSourceFactory make_source;
+  switch (state.range(0)) {
+    case 0:
+      state.SetLabel("perturb:4");
+      make_source =
+          core::size_perturb_source(p, n, profile::uniform_real_perturb(4.0));
+      break;
+    case 1:
+      state.SetLabel("shifted");
+      make_source = core::cyclic_shift_source(p, n);
+      break;
+    case 2:
+      state.SetLabel("shuffled");
+      make_source = core::shuffled_census_source(p, n);
+      break;
+    case 3:
+      state.SetLabel("iid:geometric:6");
+      make_source = core::iid_source(
+          std::make_shared<profile::GeometricPowers>(4, 8.0, 0, 6));
+      break;
+    case 4:
+      state.SetLabel("iid:uniform-range:1:64");
+      make_source =
+          core::iid_source(std::make_shared<profile::UniformRange>(1, 64));
+      break;
+    default:
+      state.SetLabel("iid:bimodal:2:1024:0.03");
+      make_source = core::iid_source(
+          std::make_shared<profile::Bimodal>(2, 1024, 0.03));
+      break;
+  }
+  util::Rng rng(42);
+  std::uint64_t boxes = 0;
+  for (auto _ : state) {
+    auto source = make_source(rng);
+    engine::RegularExecution exec(p, n);
+    engine::run_to_completion(exec, *source);
+    boxes += exec.boxes_consumed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+BENCHMARK(BM_EngineRunSmoothed)->DenseRange(0, 5);
 
 void BM_WorstCaseGeneration(benchmark::State& state) {
   const auto k = static_cast<unsigned>(state.range(0));

@@ -20,19 +20,25 @@ RegularExecution::RegularExecution(const model::RegularParams& params,
   params_.validate();
   CADAPT_CHECK_MSG(util::is_power_of(n, params_.b),
                    "problem size must be a power of b; n=" << n);
-  total_leaves_ = params_.leaves(n);
+  total_leaves_ = params_.leaves(n);  // checks a^levels fits 64 bits
   // U(b^0) = 1; U(b^k) = a·U(b^{k-1}) + scan_size(b^k).
   const unsigned levels = util::ilog(n, params_.b);
   units_by_level_.resize(levels + 1);
+  leaves_by_level_.resize(levels + 1);
+  scan_by_level_.resize(levels + 1);
   units_by_level_[0] = 1;
+  leaves_by_level_[0] = 1;
+  scan_by_level_[0] = params_.scan_size(1);
   std::uint64_t size = 1;
   for (unsigned k = 1; k <= levels; ++k) {
     size *= params_.b;
-    units_by_level_[k] =
-        params_.a * units_by_level_[k - 1] + params_.scan_size(size);
+    scan_by_level_[k] = params_.scan_size(size);
+    leaves_by_level_[k] = params_.a * leaves_by_level_[k - 1];
+    units_by_level_[k] = params_.a * units_by_level_[k - 1] + scan_by_level_[k];
   }
   stack_.push_back(
-      {n, 0, 0, profile::OrderPerturbedWorstCaseSource::root_hash(adversary_seed_)});
+      {n, levels, 0, 0,
+       profile::OrderPerturbedWorstCaseSource::root_hash(adversary_seed_)});
   normalize();
   CADAPT_CHECK(!stack_.empty());  // a fresh problem always has work
 }
@@ -42,8 +48,7 @@ std::uint64_t RegularExecution::units_done() const {
   std::uint64_t total = 0;
   for (const Frame& f : stack_) {
     if (f.size == 1) break;  // pending base case contributes nothing
-    const unsigned child_level = util::ilog(f.size / params_.b, params_.b);
-    total += completed_children(f) * units_by_level_[child_level];
+    total += completed_children(f) * units_by_level_[f.level - 1];
     const std::uint64_t chunks_complete = f.phase / 2;
     for (std::uint64_t j = 0; j < chunks_complete; ++j)
       total += chunk_size(f, j);
@@ -54,7 +59,7 @@ std::uint64_t RegularExecution::units_done() const {
 
 std::uint64_t RegularExecution::chunk_size(const Frame& f,
                                            std::uint64_t chunk) const {
-  const std::uint64_t scan = params_.scan_size(f.size);
+  const std::uint64_t scan = scan_by_level_[f.level];
   const std::uint64_t a = params_.a;
   CADAPT_CHECK(chunk < a);
   switch (placement_) {
@@ -81,7 +86,8 @@ std::uint64_t RegularExecution::leaves_done_within(std::size_t idx) const {
   std::uint64_t total = 0;
   for (std::size_t i = idx; i < stack_.size(); ++i) {
     if (stack_[i].size == 1) break;  // a pending base case contributes 0
-    total += completed_children(stack_[i]) * params_.leaves(stack_[i].size / params_.b);
+    total += completed_children(stack_[i]) *
+             leaves_by_level_[stack_[i].level - 1];
   }
   return total;
 }
@@ -95,7 +101,7 @@ std::uint64_t RegularExecution::normalize() {
     if (f.phase % 2 == 0) {
       // Descend into child phase/2.
       const std::uint64_t child_index = f.phase / 2;
-      stack_.push_back({f.size / params_.b, 0, 0,
+      stack_.push_back({f.size / params_.b, f.level - 1, 0, 0,
                         util::hash_combine(f.node_hash, child_index)});
       continue;
     }
@@ -164,7 +170,7 @@ BoxReport RegularExecution::consume_box_optimistic(profile::BoxSize s) {
     // completes that problem in full and goes no further (§4 semantics).
     const std::uint64_t completed_size = stack_[idx].size;
     const std::uint64_t remaining =
-        params_.leaves(completed_size) - leaves_done_within(idx);
+        leaves_by_level_[stack_[idx].level] - leaves_done_within(idx);
     leaves_done_ += remaining;
     report.progress = remaining;
     report.completed_problem = completed_size;
@@ -224,9 +230,9 @@ BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
     }
     if (stack_[idx].size > budget) break;  // cannot even afford the leaf
     const std::uint64_t completed_size = stack_[idx].size;
-    const std::uint64_t remaining =
-        params_.leaves(completed_size) - leaves_done_within(idx);
-    CADAPT_CHECK(remaining == params_.leaves(completed_size));  // at start
+    const std::uint64_t whole = leaves_by_level_[stack_[idx].level];
+    const std::uint64_t remaining = whole - leaves_done_within(idx);
+    CADAPT_CHECK(remaining == whole);  // at start
     leaves_done_ += remaining;
     report.progress += remaining;
     report.completed_problem = std::max(report.completed_problem, completed_size);
@@ -300,10 +306,9 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
     // one subtree of the same parent).
     const bool try_probe = probing && count - consumed >= 2 &&
                            placement_ != ScanPlacement::kAdversaryMatched;
-    StackSignature sig;
     obs::ExecRecorder::Mark mark;
     if (try_probe) {
-      sig = signature();
+      signature_into(probe_sig_);
       if (recorder_ != nullptr) mark = recorder_->mark();
     }
     const std::uint64_t leaves_before = leaves_done_;
@@ -314,7 +319,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
         std::max(report.completed_problem, r.completed_problem);
     if (!try_probe) continue;
     if (done()) break;
-    const auto delta = classify_period(sig, count - consumed);
+    const auto delta = classify_period(probe_sig_, count - consumed);
     if (!delta) {
       probing = false;
       continue;
@@ -331,11 +336,16 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
 
 StackSignature RegularExecution::signature() const {
   StackSignature sig;
-  sig.reserve(stack_.size());
-  for (const Frame& f : stack_) {
-    sig.push_back({f.size, f.phase, f.scan_offset});
-  }
+  signature_into(sig);
   return sig;
+}
+
+void RegularExecution::signature_into(StackSignature& out) const {
+  out.clear();
+  out.reserve(stack_.size());
+  for (const Frame& f : stack_) {
+    out.push_back({f.size, f.phase, f.scan_offset});
+  }
 }
 
 std::optional<PeriodicDelta> RegularExecution::classify_period(
@@ -433,9 +443,7 @@ struct BlockProbe {
   std::uint64_t boxes_per_repeat = 0;
   std::uint64_t repeats_left = 0;  ///< repeats after the probed one
   std::uint64_t leaves_before = 0;
-  double acc_sum_before = 0;
-  std::uint64_t acc_boxes_before = 0;
-  double unit_sum_before = 0;
+  model::AdaptivityAccumulator::Mark acc_before;
   obs::ExecRecorder::Mark mark;
 };
 
@@ -446,7 +454,6 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   obs::ExecRecorder* recorder = options.recorder;
   if (recorder != nullptr) exec.set_recorder(recorder);
   model::AdaptivityAccumulator acc(exec.params(), exec.problem_size());
-  double sum_unit_potential = 0.0;
   RunResult result;
   const std::uint64_t max_boxes = options.max_boxes;
   // The bulk path is disabled by the per_box flag and by a per-box-trace
@@ -467,8 +474,6 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         break;
       }
       acc.add_box(*box);
-      sum_unit_potential +=
-          model::bounded_rho_units(exec.params(), exec.problem_size(), *box);
       exec.consume_box(*box);
     }
   } else {
@@ -494,9 +499,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
             probe.boxes_per_repeat = blk->boxes_per_repeat;
             probe.repeats_left = blk->repeats - 1;
             probe.leaves_before = exec.leaves_done();
-            probe.acc_sum_before = acc.sum_bounded_potential();
-            probe.acc_boxes_before = acc.boxes();
-            probe.unit_sum_before = sum_unit_potential;
+            probe.acc_before = acc.mark();
             if (recorder != nullptr) probe.mark = recorder->mark();
             probes.push_back(std::move(probe));
           }
@@ -516,11 +519,6 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
       // same addition sequence as the per-box loop.
       const std::uint64_t used = exec.boxes_consumed() - before_boxes;
       acc.add_boxes(run->size, used);
-      sum_unit_potential = model::bulk_add(
-          sum_unit_potential,
-          model::bounded_rho_units(exec.params(), exec.problem_size(),
-                                   run->size),
-          used);
       // Close every probe whose first repeat just ended.
       while (!probes.empty() &&
              exec.boxes_consumed() >= probes.back().target) {
@@ -545,19 +543,11 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         if (m == 0) continue;
         // Commit only if BOTH potential sums replay exactly (all-integer
         // window below 2^53); otherwise fall back to literal consumption.
-        if (!acc.all_integer() ||
-            !model::exactly_replayable(probe.acc_sum_before,
-                                       acc.sum_bounded_potential(), m) ||
-            !model::exactly_replayable(probe.unit_sum_before,
-                                       sum_unit_potential, m)) {
-          continue;
-        }
+        if (!acc.replayable(probe.acc_before, m)) continue;
         source.skip_repeats(m);
         exec.apply_period(*delta, m, probe.boxes_per_repeat,
                           exec.leaves_done() - probe.leaves_before);
-        acc.apply_replay(probe.acc_sum_before, probe.acc_boxes_before, m);
-        sum_unit_potential =
-            model::replay_sum(probe.unit_sum_before, sum_unit_potential, m);
+        acc.apply_replay(probe.acc_before, m);
         if (recorder != nullptr) recorder->replay(probe.mark, m);
       }
     }
@@ -568,10 +558,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   result.leaves = exec.leaves_done();
   result.sum_bounded_potential = acc.sum_bounded_potential();
   result.ratio = acc.ratio();
-  result.unit_ratio =
-      sum_unit_potential /
-      static_cast<double>(
-          model::problem_units(exec.params(), exec.problem_size()));
+  result.unit_ratio = acc.unit_ratio();
   if (recorder != nullptr) recorder->finish(result.completed);
   return result;
 }

@@ -177,11 +177,15 @@ class RegularExecution {
  private:
   struct Frame {
     std::uint64_t size;         // problem size in blocks (power of b)
+    std::uint64_t level;        // log_b size: index into the per-level tables
     std::uint64_t phase;        // 0..2a-1: even 2i = in child i, odd 2i+1 = in scan chunk i
     std::uint64_t scan_offset;  // progress within the current scan chunk
     std::uint64_t node_hash;    // path hash (used by kAdversaryMatched)
   };
 
+  /// Fill `out` with the stack snapshot signature() returns, reusing its
+  /// capacity.
+  void signature_into(StackSignature& out) const;
   /// Scan chunk i (0-based) of the problem in frame f.
   std::uint64_t chunk_size(const Frame& f, std::uint64_t chunk) const;
   /// Children of the frame that are fully complete: (phase + 1) / 2.
@@ -215,8 +219,16 @@ class RegularExecution {
   std::uint64_t boxes_consumed_ = 0;
   obs::ExecRecorder* recorder_ = nullptr;
   std::vector<Frame> stack_;
+  /// Per-level tables, indexed by Frame::level (problem size b^k): the
+  /// per-box path reads these instead of recomputing powers and logs.
   /// units_by_level_[k] = unit accesses of a problem of size b^k.
   std::vector<std::uint64_t> units_by_level_;
+  /// leaves_by_level_[k] = a^k, the base cases of a problem of size b^k.
+  std::vector<std::uint64_t> leaves_by_level_;
+  /// scan_by_level_[k] = scan_size(b^k), the whole scan of that problem.
+  std::vector<std::uint64_t> scan_by_level_;
+  /// consume_run's period-probe snapshot, kept to reuse its allocation.
+  StackSignature probe_sig_;
 };
 
 /// Why run_to_completion stopped.

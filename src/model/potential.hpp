@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "model/regular.hpp"
 #include "profile/box.hpp"
@@ -38,8 +39,10 @@ inline bool exactly_bulk_addable(double sum, double x, std::uint64_t count) {
 
 /// Add `count` copies of x to sum, bit-identically to a repeated-add
 /// loop: the closed form is used when provably exact, otherwise the
-/// literal loop runs (identical operation sequence either way).
+/// literal loop runs (identical operation sequence either way). A single
+/// copy is the literal addition itself and needs no exactness test.
 inline double bulk_add(double sum, double x, std::uint64_t count) {
+  if (count == 1) return sum + x;
   if (exactly_bulk_addable(sum, x, count)) {
     return sum + static_cast<double>(count) * x;
   }
@@ -101,43 +104,108 @@ inline double bounded_rho_units(const RegularParams& params, std::uint64_t n,
   return rho_units(params, std::min<std::uint64_t>(n, s));
 }
 
+/// Memo of the n-bounded potentials of one (params, n) problem: entry
+/// min(n, s) holds bounded_rho and bounded_rho_units of a size-s box,
+/// computed by those same functions on first use, so every lookup is
+/// bit-identical to calling them. Keys up to kDenseBound live in a dense
+/// table grown on demand; larger keys (only reachable when n exceeds the
+/// bound) are computed directly.
+class BoundedPotentials {
+ public:
+  struct Entry {
+    double rho;        ///< bounded_rho(params, n, s)
+    double rho_units;  ///< bounded_rho_units(params, n, s)
+  };
+
+  static constexpr std::uint64_t kDenseBound = UINT64_C(1) << 14;
+
+  BoundedPotentials(const RegularParams& params, std::uint64_t n)
+      : params_(params), n_(n) {}
+
+  Entry at(profile::BoxSize s) {
+    const std::uint64_t key = std::min<std::uint64_t>(n_, s);
+    if (key > kDenseBound) return compute(key);
+    if (key >= dense_.size()) {
+      const std::uint64_t grown =
+          std::max<std::uint64_t>(key + 1, 2 * dense_.size());
+      dense_.resize(std::min(grown, kDenseBound + 1), Entry{-1.0, -1.0});
+    }
+    Entry& e = dense_[key];
+    if (e.rho < 0.0) e = compute(key);  // potentials are never negative
+    return e;
+  }
+
+ private:
+  Entry compute(std::uint64_t key) const {
+    return {bounded_rho(params_, n_, key), bounded_rho_units(params_, n_, key)};
+  }
+
+  RegularParams params_;
+  std::uint64_t n_;
+  std::vector<Entry> dense_;
+};
+
 /// Accumulates the left-hand side of Inequality 2 over the boxes an
-/// execution consumes.
+/// execution consumes, together with its operation-based twin
+/// Σ ρ_U(min(n,|□_i|)) (paper footnote 4).
 class AdaptivityAccumulator {
  public:
   AdaptivityAccumulator(const RegularParams& params, std::uint64_t n)
-      : params_(params), n_(n) {
+      : params_(params), n_(n), potentials_(params, n) {
     params_.validate();
     CADAPT_CHECK(n >= 1);
   }
 
   void add_box(profile::BoxSize s) {
-    const double x = bounded_rho(params_, n_, s);
-    all_integer_ = all_integer_ && std::floor(x) == x;
-    sum_bounded_potential_ += x;
+    const BoundedPotentials::Entry e = potentials_.at(s);
+    all_integer_ = all_integer_ && std::floor(e.rho) == e.rho;
+    sum_bounded_potential_ += e.rho;
+    sum_unit_potential_ += e.rho_units;
     ++boxes_;
   }
 
   /// Bulk add of `count` equal boxes — bit-identical to `count` add_box
   /// calls (closed form when provably exact, literal loop otherwise).
   void add_boxes(profile::BoxSize s, std::uint64_t count) {
-    const double x = bounded_rho(params_, n_, s);
-    all_integer_ = all_integer_ && std::floor(x) == x;
-    sum_bounded_potential_ = bulk_add(sum_bounded_potential_, x, count);
+    const BoundedPotentials::Entry e = potentials_.at(s);
+    all_integer_ = all_integer_ && std::floor(e.rho) == e.rho;
+    sum_bounded_potential_ = bulk_add(sum_bounded_potential_, e.rho, count);
+    sum_unit_potential_ = bulk_add(sum_unit_potential_, e.rho_units, count);
     boxes_ += count;
   }
 
-  /// True while every potential added so far was integer-valued (always
-  /// the case for power-of-b box sizes) — a precondition for
-  /// exactly_replayable() on this accumulator's sum.
-  bool all_integer() const { return all_integer_; }
+  /// Both sums and the box count at one point of the stream: the start of
+  /// a window that may later be replayed.
+  struct Mark {
+    double sum_bounded_potential = 0;
+    double sum_unit_potential = 0;
+    std::uint64_t boxes = 0;
+  };
+  Mark mark() const {
+    return {sum_bounded_potential_, sum_unit_potential_, boxes_};
+  }
 
-  /// Commit m replayed copies of the window (before_sum -> current sum):
-  /// the caller must have checked all_integer() && exactly_replayable().
-  void apply_replay(double before_sum, std::uint64_t before_boxes,
-                    std::uint64_t m) {
-    sum_bounded_potential_ = replay_sum(before_sum, sum_bounded_potential_, m);
-    boxes_ += m * (boxes_ - before_boxes);
+  /// True iff m further copies of the window since `before` replay
+  /// exactly in BOTH sums: every potential added so far was
+  /// integer-valued (always the case for power-of-b box sizes; unit
+  /// potentials are integers by construction) and both replayed sums stay
+  /// within the exact-integer range (exactly_replayable).
+  bool replayable(const Mark& before, std::uint64_t m) const {
+    return all_integer_ &&
+           exactly_replayable(before.sum_bounded_potential,
+                              sum_bounded_potential_, m) &&
+           exactly_replayable(before.sum_unit_potential, sum_unit_potential_,
+                              m);
+  }
+
+  /// Commit m replayed copies of the window since `before`; the caller
+  /// must have checked replayable(before, m).
+  void apply_replay(const Mark& before, std::uint64_t m) {
+    sum_bounded_potential_ =
+        replay_sum(before.sum_bounded_potential, sum_bounded_potential_, m);
+    sum_unit_potential_ =
+        replay_sum(before.sum_unit_potential, sum_unit_potential_, m);
+    boxes_ += m * (boxes_ - before.boxes);
   }
 
   std::uint64_t boxes() const { return boxes_; }
@@ -147,10 +215,19 @@ class AdaptivityAccumulator {
   /// cache-adaptive iff this stays O(1) over all profiles as n grows.
   double ratio() const { return sum_bounded_potential_ / rho(params_, n_); }
 
+  /// Σ ρ_U(min(n,|□_i|)) / U(n): the same criterion under the
+  /// operation-based progress function.
+  double unit_ratio() const {
+    return sum_unit_potential_ /
+           static_cast<double>(problem_units(params_, n_));
+  }
+
  private:
   RegularParams params_;
   std::uint64_t n_;
+  BoundedPotentials potentials_;
   double sum_bounded_potential_ = 0.0;
+  double sum_unit_potential_ = 0.0;
   std::uint64_t boxes_ = 0;
   bool all_integer_ = true;
 };

@@ -80,10 +80,10 @@ class BoxSource {
   virtual std::optional<SubtreeBlock> peek_block() { return std::nullopt; }
 
   /// Skip `m` whole repeats of the block peek_block() described. Only
-  /// valid when the stream has consumed an integral number (>= 1) of that
-  /// block's repeats since the peek, and `m` plus the repeats already
-  /// consumed does not exceed the announced count. Default: no block
-  /// support — must not be called.
+  /// valid when the stream has consumed an integral number (possibly
+  /// zero) of that block's repeats since the peek, and `m` plus the
+  /// repeats already consumed does not exceed the announced count.
+  /// Default: no block support — must not be called.
   virtual void skip_repeats(std::uint64_t m);
 };
 

@@ -38,14 +38,21 @@ void BoxDistribution::set_pmf(std::vector<PmfEntry> entries) {
     cdf_.push_back(acc);
   }
   cdf_.back() = 1.0;  // guard against rounding drift
-}
-
-BoxSize BoxDistribution::sample(util::Rng& rng) const {
-  CADAPT_CHECK(!pmf_.empty());
-  const double u = rng.uniform01();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cdf_.begin());
-  return pmf_[std::min(idx, pmf_.size() - 1)].size;
+  // At least one bucket per entry keeps the expected scan length O(1).
+  // The prefix sums are nondecreasing and cdf_.back() = 1 > u for every
+  // draw, so each scan stops inside the table.
+  CADAPT_CHECK(pmf_.size() <= (std::size_t{1} << 31));
+  unsigned bits = 0;
+  while ((std::size_t{1} << bits) < pmf_.size()) ++bits;
+  guide_shift_ = 53 - bits;
+  guide_.resize(std::size_t{1} << bits);
+  std::uint32_t i = 0;
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    const double edge =
+        std::ldexp(static_cast<double>(j), -static_cast<int>(bits));
+    while (cdf_[i] < edge) ++i;
+    guide_[j] = i;
+  }
 }
 
 BoxSize BoxDistribution::min_size() const {

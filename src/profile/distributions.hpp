@@ -5,6 +5,7 @@
 // sampling is implemented once in the base class via the stored CDF.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,8 +35,21 @@ class BoxDistribution {
 
   const std::vector<PmfEntry>& pmf() const { return pmf_; }
 
-  /// Draw one box size.
-  BoxSize sample(util::Rng& rng) const;
+  /// Draw one box size: inverse-CDF sampling on the uniform01() draw.
+  BoxSize sample(util::Rng& rng) const { return sample_bits(rng.bits53()); }
+
+  /// The size sample() returns for the 53-bit draw `bits` (u = bits·2^-53):
+  /// exactly the first pmf entry whose cdf value is >= u, found by a
+  /// forward scan from the guide-table entry of u's bucket.
+  BoxSize sample_bits(std::uint64_t bits) const {
+    const double u = static_cast<double>(bits) * 0x1.0p-53;
+    std::size_t i = guide_[bits >> guide_shift_];
+    while (cdf_[i] < u) ++i;
+    return pmf_[i].size;
+  }
+
+  /// Inclusive prefix sums of pmf(), with the last entry forced to 1.
+  const std::vector<double>& cdf() const { return cdf_; }
 
   BoxSize min_size() const;
   BoxSize max_size() const;
@@ -59,6 +73,12 @@ class BoxDistribution {
  private:
   std::vector<PmfEntry> pmf_;   // sorted by size, normalized
   std::vector<double> cdf_;     // inclusive prefix sums of pmf_
+  // Guide table over G = 2^(53 - guide_shift_) equal buckets of [0, 1):
+  // guide_[j] is the first cdf index whose value is >= j/G. Bucket j holds
+  // every draw u with top bits j, and j/G <= u exactly, so the answer for
+  // u is never before guide_[j].
+  std::vector<std::uint32_t> guide_;
+  unsigned guide_shift_ = 53;
 };
 
 /// All boxes have one fixed size.

@@ -32,11 +32,18 @@ SizePerturbSource::SizePerturbSource(std::unique_ptr<BoxSource> inner,
 }
 
 std::optional<BoxSize> SizePerturbSource::perturb_next() {
-  const auto box = inner_->next();
-  if (!box) return std::nullopt;
+  // The inner stream is pulled a native run at a time; the factors are
+  // still drawn one per inner box, in stream order.
+  if (inner_run_.count == 0) {
+    const auto run = inner_->next_run();
+    if (!run) return std::nullopt;
+    inner_run_ = *run;
+  }
+  --inner_run_.count;
   const double factor = sampler_(rng_);
   CADAPT_CHECK_MSG(factor >= 0.0, "perturbation factor must be >= 0");
-  const double scaled = std::floor(static_cast<double>(*box) * factor);
+  const double scaled =
+      std::floor(static_cast<double>(inner_run_.size) * factor);
   return static_cast<BoxSize>(std::max(1.0, scaled));
 }
 
@@ -74,11 +81,25 @@ CyclicShiftSource::CyclicShiftSource(SourceFactory factory,
                                      std::uint64_t offset)
     : factory_(std::move(factory)), offset_(offset), inner_(factory_()),
       tail_remaining_(offset) {
-  for (std::uint64_t i = 0; i < offset_; ++i) {
-    const auto box = inner_->next();
-    CADAPT_CHECK_MSG(box.has_value(),
+  // Seek past the first `offset` boxes, skipping whole announced repeats
+  // where they fit (O(depth) for M_{a,b}(n) instead of O(offset)).
+  const bool blocks = inner_->provides_blocks();
+  std::uint64_t skipped = 0;
+  while (skipped < offset_) {
+    if (const auto block = blocks ? inner_->peek_block() : std::nullopt) {
+      const std::uint64_t m = std::min(
+          block->repeats, (offset_ - skipped) / block->boxes_per_repeat);
+      if (m > 0) {
+        inner_->skip_repeats(m);
+        skipped += m * block->boxes_per_repeat;
+        continue;
+      }
+    }
+    CADAPT_CHECK_MSG(inner_->next().has_value(),
                      "cyclic shift offset " << offset_
-                                            << " exceeds profile length " << i);
+                                            << " exceeds profile length "
+                                            << skipped);
+    ++skipped;
   }
 }
 
@@ -95,6 +116,27 @@ std::optional<BoxSize> CyclicShiftSource::next() {
   CADAPT_CHECK_MSG(box.has_value(),
                    "profile shrank between factory invocations");
   return box;
+}
+
+std::optional<SubtreeBlock> CyclicShiftSource::peek_block() {
+  auto block = inner_->peek_block();
+  if (!block || !wrapped_) return block;
+  block->repeats = std::min(block->repeats,
+                            tail_remaining_ / block->boxes_per_repeat);
+  if (block->repeats == 0) return std::nullopt;
+  return block;
+}
+
+void CyclicShiftSource::skip_repeats(std::uint64_t m) {
+  if (wrapped_) {
+    // peek_block() clamped the block to the tail, so the caller never
+    // skips past it (a repeat consumed since the peek was charged by
+    // next_run()).
+    const std::uint64_t boxes = m * inner_->peek_block()->boxes_per_repeat;
+    CADAPT_CHECK(boxes <= tail_remaining_);
+    tail_remaining_ -= boxes;
+  }
+  inner_->skip_repeats(m);
 }
 
 std::optional<BoxRun> CyclicShiftSource::next_run() {

@@ -54,6 +54,7 @@ class SizePerturbSource final : public BoxSource {
   std::unique_ptr<BoxSource> inner_;
   PerturbSampler sampler_;
   util::Rng rng_;
+  BoxRun inner_run_;                // inner boxes pulled but not yet perturbed
   std::optional<BoxSize> pending_;  // looked-ahead box not yet delivered
 };
 
@@ -71,6 +72,14 @@ class CyclicShiftSource final : public BoxSource {
   /// clamps the final run to the boxes still owed (clamping only fires on
   /// the very last run, after which the source is exhausted).
   std::optional<BoxRun> next_run() override;
+
+  /// Forwards the inner source's blocks: a shifted M_{a,b}(n) keeps every
+  /// SubtreeBlock of the unshifted profile. After the wrap a block is
+  /// clamped to the whole repeats that fit in the boxes still owed, and
+  /// skipped repeats are charged to that tail.
+  bool provides_blocks() const override { return inner_->provides_blocks(); }
+  std::optional<SubtreeBlock> peek_block() override;
+  void skip_repeats(std::uint64_t m) override;
 
  private:
   SourceFactory factory_;

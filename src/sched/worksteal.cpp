@@ -96,7 +96,6 @@ class ParallelEngine {
   const ParallelOptions& opt_;
   std::uint64_t p_;
   model::AdaptivityAccumulator acc_;
-  double unit_potential_ = 0;
   std::uint64_t total_units_ = 0;
   std::uint64_t remaining_units_ = 0;
   std::uint64_t split_depth_ = 0;
@@ -350,7 +349,6 @@ ParallelResult ParallelEngine::run() {
     CADAPT_CHECK(m >= 1);
     ++result_.rounds;
     acc_.add_box(m);
-    unit_potential_ += model::bounded_rho_units(params_, n_, m);
 
     bool flush = false;
     if (opt_.carve == Policy::kPeriodicFlush) {
@@ -412,8 +410,7 @@ ParallelResult ParallelEngine::run() {
   merged.boxes = result_.rounds;
   merged.sum_bounded_potential = acc_.sum_bounded_potential();
   merged.ratio = acc_.ratio();
-  merged.unit_ratio =
-      unit_potential_ / static_cast<double>(total_units_);
+  merged.unit_ratio = acc_.unit_ratio();
   result_.tasks_spawned = tasks_.size();
   if (opt_.recorder != nullptr) {
     opt_.recorder->finish(p_, result_.rounds, result_.epochs, result_.splits,

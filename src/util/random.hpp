@@ -67,10 +67,11 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
+  /// The top 53 bits of one draw: the integer uniform01() scales.
+  std::uint64_t bits53() { return (*this)() >> 11; }
+
   /// Uniform double in [0, 1).
-  double uniform01() {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
+  double uniform01() { return static_cast<double>(bits53()) * 0x1.0p-53; }
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }

@@ -66,27 +66,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) print_row(r);
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c)
-      os << (c == 0 ? "" : ",") << csv_escape(cells[c]);
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-}
-
 }  // namespace cadapt::util

@@ -1,4 +1,4 @@
-// Console/CSV table writer used by the benchmark harness to print the rows
+// Console table writer used by the benchmark harness to print the rows
 // and series recorded in EXPERIMENTS.md.
 #pragma once
 
@@ -27,8 +27,6 @@ class Table {
 
   /// Render with aligned columns and a header separator.
   void print(std::ostream& os) const;
-  /// Render as CSV (RFC-4180-ish: quotes cells containing commas/quotes).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -10,6 +10,8 @@
 // tolerance anywhere in this file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -476,6 +478,184 @@ TEST(SourceBlocks, WorstCaseSkipRepeatsMatchesPlainStream) {
     ASSERT_EQ(box.has_value(), twin.has_value());
     if (!box) break;
     EXPECT_EQ(*box, *twin);
+  }
+}
+
+// A cyclic shift of M_{a,b}(n) forwards the inner SubtreeBlocks, clamped
+// after the wrap to the tail still owed. Every offset of every shape must
+// give a RunResult bit-identical to the per-box reference, with and
+// without the CyclingSource wrapper the `shifted` profile token uses; most
+// offsets end their wrapped tail mid-block, so the clamp is exercised.
+// The profile M_{a,b}(n/b) is one level too small for the algorithm, so
+// its cycled runs cross many wrapped tails.
+TEST(ShiftBlocks, EveryOffsetMatchesPerBox) {
+  struct Shape {
+    std::uint64_t a, b;
+    unsigned k;
+  };
+  for (const Shape shape : {Shape{8, 4, 3}, Shape{7, 4, 3}, Shape{4, 2, 4},
+                            Shape{3, 2, 5}}) {
+    model::RegularParams p;
+    p.a = shape.a, p.b = shape.b, p.c = 1.0;
+    const std::uint64_t n = util::ipow(p.b, shape.k);
+    for (const std::uint64_t profile_n : {n, n / p.b}) {
+      const std::uint64_t total =
+          profile::worst_case_box_count(p.a, p.b, profile_n);
+      auto base = [p, profile_n] {
+        return std::make_unique<profile::WorstCaseSource>(p.a, p.b, profile_n);
+      };
+      for (std::uint64_t offset = 0; offset < total; ++offset) {
+        auto shifted = [base, offset]() -> std::unique_ptr<profile::BoxSource> {
+          return std::make_unique<profile::CyclicShiftSource>(base, offset);
+        };
+        auto cycled = [shifted]() -> std::unique_ptr<profile::BoxSource> {
+          return std::make_unique<profile::CyclingSource>(shifted);
+        };
+        for (const auto& [wrapper, make] :
+             {std::pair{"plain", std::function(shifted)},
+              std::pair{"cycling", std::function(cycled)}}) {
+          for (const BoxSemantics semantics :
+               {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+            const std::string label =
+                p.name() + " profile_n=" + std::to_string(profile_n) + " " +
+                wrapper + " offset=" + std::to_string(offset) +
+                " semantics=" + std::to_string(static_cast<int>(semantics));
+            auto bulk_source = make();
+            auto ref_source = make();
+            RunOptions ref_options;
+            ref_options.per_box = true;
+            const RunResult bulk =
+                run_regular(p, n, *bulk_source, ScanPlacement::kEnd, 0,
+                            semantics, RunOptions{});
+            const RunResult ref = run_regular(p, n, *ref_source,
+                                              ScanPlacement::kEnd, 0,
+                                              semantics, ref_options);
+            ASSERT_EQ(bulk.stop, ref.stop) << label;
+            ASSERT_EQ(bulk.boxes, ref.boxes) << label;
+            ASSERT_EQ(bulk.leaves, ref.leaves) << label;
+            ASSERT_EQ(bulk.sum_bounded_potential, ref.sum_bounded_potential)
+                << label;
+            ASSERT_EQ(bulk.ratio, ref.ratio) << label;
+            ASSERT_EQ(bulk.unit_ratio, ref.unit_ratio) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The source side of the shift's blocks: greedily skipping every announced
+// block after one consumed repeat must reproduce the rotated profile, no
+// announced block may reach past the end of the rotation, and a block
+// wrapped mid-tail is clamped to the whole repeats that still fit.
+TEST(ShiftBlocks, SkippedStreamIsTheRotation) {
+  const std::uint64_t a = 8, b = 4, n = 16;
+  const std::vector<profile::BoxSize> plain =
+      worst_boxes(model::RegularParams{a, b, 1.0}, n);
+  const std::uint64_t total = plain.size();
+  auto base = [a, b, n] {
+    return std::make_unique<profile::WorstCaseSource>(a, b, n);
+  };
+  std::uint64_t skipped_after_wrap = 0;
+  for (std::uint64_t offset = 0; offset < total; ++offset) {
+    profile::CyclicShiftSource shifted(base, offset);
+    std::vector<profile::BoxSize> got;
+    while (true) {
+      if (const auto blk = shifted.peek_block()) {
+        ASSERT_LE(got.size() + blk->repeats * blk->boxes_per_repeat, total)
+            << "offset " << offset;
+        // One-box repeats arrive inside longer runs; the engine's driver
+        // skips them too.
+        if (blk->repeats >= 2 && blk->boxes_per_repeat >= 2) {
+          const std::size_t start = got.size();
+          while (got.size() < start + blk->boxes_per_repeat) {
+            const auto run = shifted.next_run();
+            ASSERT_TRUE(run.has_value());
+            got.insert(got.end(), run->count, run->size);
+          }
+          ASSERT_EQ(got.size(), start + blk->boxes_per_repeat);
+          const std::vector<profile::BoxSize> repeat(
+              got.begin() + static_cast<long>(start), got.end());
+          shifted.skip_repeats(blk->repeats - 1);
+          for (std::uint64_t r = 1; r < blk->repeats; ++r) {
+            got.insert(got.end(), repeat.begin(), repeat.end());
+          }
+          if (start >= total - offset) ++skipped_after_wrap;
+          continue;
+        }
+      }
+      const auto run = shifted.next_run();
+      if (!run) break;
+      got.insert(got.end(), run->count, run->size);
+    }
+    std::vector<profile::BoxSize> expected(
+        plain.begin() + static_cast<long>(offset), plain.end());
+    expected.insert(expected.end(), plain.begin(),
+                    plain.begin() + static_cast<long>(offset));
+    EXPECT_EQ(got, expected) << "offset " << offset;
+  }
+  EXPECT_GT(skipped_after_wrap, 0u);
+
+  // Offset 30 of M_{8,4}(16) (73 boxes): after the wrap the first M(4)
+  // (9 boxes) arrives as runs, then the root announces 7 repeats of 9
+  // boxes; only 21 boxes are still owed, so 2 whole repeats fit.
+  profile::CyclicShiftSource clamped(base, 30);
+  std::uint64_t emitted = 0;
+  while (emitted < total - 30 + 9) emitted += clamped.next_run()->count;
+  ASSERT_EQ(emitted, total - 30 + 9);
+  const auto blk = clamped.peek_block();
+  ASSERT_TRUE(blk.has_value());
+  EXPECT_EQ(blk->boxes_per_repeat, 9u);
+  EXPECT_EQ(blk->repeats, 2u);
+}
+
+// A reference perturbation that pulls its inner stream box by box.
+std::vector<profile::BoxSize> perturb_per_box(
+    profile::BoxSource& inner, const profile::PerturbSampler& sampler,
+    util::Rng rng) {
+  std::vector<profile::BoxSize> out;
+  while (const auto box = inner.next()) {
+    const double scaled =
+        std::floor(static_cast<double>(*box) * sampler(rng));
+    out.push_back(static_cast<profile::BoxSize>(std::max(1.0, scaled)));
+  }
+  return out;
+}
+
+// SizePerturbSource pulls native runs from its inner source but still
+// draws one factor per inner box, in stream order: its next() and
+// next_run() streams both equal per-box perturbation of the inner stream,
+// whatever the inner run boundaries.
+TEST(SourceRuns, SizePerturbRunPullingMatchesPerBoxPulling) {
+  model::RegularParams p;
+  p.a = 8, p.b = 4, p.c = 1.0;
+  const std::uint64_t n = util::ipow(p.b, 4u);
+  const std::vector<profile::BoxSize> boxes = worst_boxes(p, n);
+  const std::vector<std::pair<std::string, profile::PerturbSampler>>
+      samplers = {{"int4", profile::uniform_int_perturb(4)},
+                  {"real2", profile::uniform_real_perturb(2.0)},
+                  {"point3", profile::point_perturb(3.0)}};
+  for (const auto& [name, sampler] : samplers) {
+    profile::VectorSource plain(boxes);
+    const std::vector<profile::BoxSize> want =
+        perturb_per_box(plain, sampler, util::Rng(41));
+    ASSERT_EQ(want.size(), boxes.size());
+    for (const bool fragmented : {false, true}) {
+      auto inner = [&]() -> std::unique_ptr<profile::BoxSource> {
+        if (fragmented) return std::make_unique<FragmentingSource>(boxes, 5);
+        return std::make_unique<profile::WorstCaseSource>(p.a, p.b, n);
+      };
+      const std::string label =
+          name + (fragmented ? " fragmented" : " native");
+      profile::SizePerturbSource by_box(inner(), sampler, util::Rng(41));
+      EXPECT_EQ(profile::materialize(by_box), want) << label;
+      profile::SizePerturbSource by_run(inner(), sampler, util::Rng(41));
+      std::vector<profile::BoxSize> expanded;
+      while (const auto run = by_run.next_run()) {
+        expanded.insert(expanded.end(), run->count, run->size);
+      }
+      EXPECT_EQ(expanded, want) << label;
+    }
   }
 }
 

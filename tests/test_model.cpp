@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "model/potential.hpp"
 #include "model/regular.hpp"
 #include "util/check.hpp"
@@ -81,6 +85,49 @@ TEST(Potential, AccumulatorRatio) {
   EXPECT_DOUBLE_EQ(acc.ratio(), 2.125);
   EXPECT_EQ(acc.boxes(), 3u);
   EXPECT_DOUBLE_EQ(acc.sum_bounded_potential(), 136.0);
+}
+
+// Every memoized entry is bit-identical to the direct computation: all
+// s in [1, 2·kDenseBound] and s >= n, looked up twice (fill, then hit),
+// for c = 1, c < 1 and c = 0, with n below and above the dense bound.
+TEST(Potential, BoundedPotentialsEqualDirectComputation) {
+  constexpr std::uint64_t kBound = BoundedPotentials::kDenseBound;
+  const std::vector<RegularParams> shapes = {
+      {8, 4, 1.0}, {7, 4, 0.5}, {4, 2, 1.0}, {2, 4, 1.0}, {8, 4, 0.0}};
+  for (const RegularParams& p : shapes) {
+    for (const unsigned k : {3u, 8u}) {
+      const std::uint64_t n = util::ipow(p.b, p.b == 2 ? 2 * k : k);
+      BoundedPotentials table(p, n);
+      std::vector<std::uint64_t> sizes;
+      for (std::uint64_t s = 1; s <= 2 * kBound; ++s) sizes.push_back(s);
+      for (const std::uint64_t s :
+           {n - 1, n, n + 1, 2 * n, 4 * kBound + 3, UINT64_C(1) << 40}) {
+        sizes.push_back(s);
+      }
+      // Ascending first, so the dense table grows step by step; then
+      // descending, so every lookup hits a filled entry.
+      for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1) std::reverse(sizes.begin(), sizes.end());
+        for (const std::uint64_t s : sizes) {
+          const BoundedPotentials::Entry e = table.at(s);
+          ASSERT_EQ(e.rho, bounded_rho(p, n, s))
+              << p.name() << " n=" << n << " s=" << s;
+          ASSERT_EQ(e.rho_units, bounded_rho_units(p, n, s))
+              << p.name() << " n=" << n << " s=" << s;
+        }
+      }
+      EXPECT_GT(n, k == 8 ? kBound : 0) << p.name();
+    }
+  }
+}
+
+// A single copy is the literal addition, for any addends.
+TEST(Potential, BulkAddOfOneIsPlainAddition) {
+  for (const double sum : {0.0, 0.1, 3.0, 1e300, 9007199254740993.0}) {
+    for (const double x : {0.0, 0.3, 2.5, 7.0, 1e-300}) {
+      EXPECT_EQ(bulk_add(sum, x, 1), sum + x);
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -100,6 +105,70 @@ TEST(Sampling, OnlySupportValues) {
   for (int i = 0; i < 1000; ++i) {
     const BoxSize s = d.sample(rng);
     EXPECT_TRUE(s == 3 || s == 9);
+  }
+}
+
+// The pre-guide-table sampler: binary search for the first cdf value >= u.
+BoxSize lower_bound_sample(const BoxDistribution& d, std::uint64_t bits) {
+  const double u = static_cast<double>(bits) * 0x1.0p-53;
+  const auto& cdf = d.cdf();
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  const auto idx = static_cast<std::size_t>(it - cdf.begin());
+  return d.pmf()[std::min(idx, d.pmf().size() - 1)].size;
+}
+
+// The guide-table sampler returns exactly the binary-search answer for
+// every 53-bit draw: random draws, draws on and next to every cdf value,
+// and draws on and next to the bucket edges of several table sizes. It
+// also consumes exactly one uniform01() draw per sample.
+TEST(Sampling, GuideTableEqualsLowerBound) {
+  std::vector<std::unique_ptr<BoxDistribution>> dists;
+  dists.push_back(std::make_unique<PointMass>(16));
+  dists.push_back(std::make_unique<UniformPowers>(4, 0, 6));
+  dists.push_back(std::make_unique<GeometricPowers>(4, 8.0, 0, 6));
+  dists.push_back(std::make_unique<GeometricPowers>(2, 1000.0, 0, 12));
+  dists.push_back(std::make_unique<Bimodal>(2, 1024, 0.03));
+  dists.push_back(std::make_unique<UniformRange>(1, 64));
+  dists.push_back(std::make_unique<UniformRange>(3, 1002));
+  dists.push_back(std::make_unique<UniformRange>(1, 1u << 22));
+  dists.push_back(
+      std::make_unique<Empirical>(std::vector<BoxSize>{1, 1, 1, 4, 4, 16, 7}));
+  constexpr std::uint64_t kTop = UINT64_C(1) << 53;
+  for (const auto& d : dists) {
+    const std::string label = d->name();
+    util::Rng rng(2024);
+    util::Rng twin(2024);
+    for (int i = 0; i < 1000000; ++i) {
+      const std::uint64_t bits = rng.bits53();
+      ASSERT_EQ(d->sample(twin), lower_bound_sample(*d, bits))
+          << label << " draw " << i;
+    }
+    const auto check = [&](std::uint64_t bits) {
+      ASSERT_EQ(d->sample_bits(bits), lower_bound_sample(*d, bits))
+          << label << " bits " << bits;
+    };
+    for (const std::uint64_t bits : {UINT64_C(0), UINT64_C(1), kTop - 1}) {
+      check(bits);
+    }
+    for (const double c : d->cdf()) {
+      const double scaled = c * 0x1.0p53;
+      for (const double v : {std::floor(scaled), std::ceil(scaled)}) {
+        for (const double dv : {-1.0, 0.0, 1.0}) {
+          const double e = v + dv;
+          if (e >= 0.0 && e < static_cast<double>(kTop)) {
+            check(static_cast<std::uint64_t>(e));
+          }
+        }
+      }
+    }
+    for (unsigned g = 0; g <= 13; ++g) {
+      const std::uint64_t step = kTop >> g;
+      for (std::uint64_t j = 1; j < (UINT64_C(1) << g); ++j) {
+        check(j * step - 1);
+        check(j * step);
+        check(j * step + 1);
+      }
+    }
   }
 }
 

@@ -23,14 +23,6 @@ TEST(Table, AlignedOutput) {
   EXPECT_NE(out.find("   16   2.50"), std::string::npos) << out;
 }
 
-TEST(Table, CsvEscaping) {
-  Table t({"name", "value"});
-  t.row().cell(std::string("a,b")).cell(std::string("say \"hi\""));
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "name,value\n\"a,b\",\"say \"\"hi\"\"\"\n");
-}
-
 TEST(Table, RowUnderflowDetectedOnNextRow) {
   Table t({"a", "b"});
   t.row().cell(std::string("only one"));
