@@ -8,7 +8,9 @@
 #include <memory>
 
 #include "algos/funnelsort.hpp"
+#include "algos/mm.hpp"
 #include "algos/sim_data.hpp"
+#include "algos/sort.hpp"
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
 #include "core/workloads.hpp"
@@ -261,6 +263,7 @@ BENCHMARK(BM_LruCacheReference)->Arg(64)->Arg(1024);
 
 constexpr std::uint64_t kScanWords = 1 << 16;
 constexpr std::uint64_t kScanBlock = 8;
+constexpr std::uint64_t kCellKeys = 65536;
 
 std::unique_ptr<profile::BoxSource> make_const_boxes() {
   return std::make_unique<profile::CyclingSource>([] {
@@ -348,6 +351,56 @@ void BM_PagingReplayWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PagingReplayWalk);
 
+// Capture layer: one recording run of a real program through
+// BlockRunRecorder — what the first trial of every `trace_replay = 1`
+// cell pays before any trial can replay. Arg 0 = merge2 on 65536 keys,
+// arg 1 = mm:128 (inputs as the cell runner draws them). Items are the
+// recorded word accesses; `runs` is the stored runs per capture and
+// `bytes_per_run` the trace's storage per run (run + index + side table).
+void BM_PagingCapture(benchmark::State& state) {
+  const bool mm = state.range(0) != 0;
+  std::uint64_t accesses = 0;
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    paging::BlockRunRecorder recorder(kScanBlock);
+    paging::AddressSpace space(kScanBlock);
+    util::Rng rng(42);
+    if (mm) {
+      constexpr std::size_t n = 128;
+      algos::SimMatrix<double> a(recorder, space, n, n);
+      algos::SimMatrix<double> b(recorder, space, n, n);
+      algos::SimMatrix<double> c(recorder, space, n, n);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t col = 0; col < n; ++col) {
+          a.raw(r, col) = static_cast<double>(rng.below(64));
+          b.raw(r, col) = static_cast<double>(rng.below(64));
+        }
+      }
+      algos::MmScratch scratch(recorder, space);
+      algos::MatView<double> cv(c), av(a), bv(b);
+      algos::mm_scan(cv, av, bv, scratch);
+    } else {
+      algos::SimVector<std::int64_t> data(recorder, space,
+                                          static_cast<std::size_t>(kCellKeys));
+      for (std::size_t i = 0; i < kCellKeys; ++i) {
+        data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
+      }
+      algos::merge_sort(recorder, space, data);
+    }
+    const paging::BlockRunTrace trace = recorder.take();
+    accesses += trace.accesses();
+    runs += trace.stored_runs();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+  state.counters["runs"] = benchmark::Counter(
+      static_cast<double>(runs), benchmark::Counter::kAvgIterations);
+  state.counters["bytes_per_run"] =
+      sizeof(paging::BlockRunTrace::PackedRun) +
+      sizeof(paging::BlockRunTrace::ReplayStep);
+  state.SetLabel(mm ? "mm:128" : "merge2, 65536 keys");
+}
+BENCHMARK(BM_PagingCapture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // End-to-end layer: one real-algorithm Monte-Carlo cell — funnelsort on
 // 65536 keys under i.i.d. uniform boxes, 32 trials (the E16 scale in
 // bench/manifests). The "before" runs each trial on the pre-fast-path
@@ -356,7 +409,6 @@ BENCHMARK(BM_PagingReplayWalk);
 // i.e. the exact code path of `cadapt mc --sort funnel
 // [--capture-trace]`. Replay pays one capture run per cell, so its
 // advantage grows with the trial count (campaign default is 64).
-constexpr std::uint64_t kCellKeys = 65536;
 constexpr std::uint64_t kCellTrials = 32;
 
 void BM_McCellFunnelReferenceStack(benchmark::State& state) {

@@ -1,58 +1,93 @@
 #include "paging/block_run.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <utility>
 
 #include "util/check.hpp"
 
 namespace cadapt::paging {
 
+std::uint32_t BlockRunTrace::LastSeen::exchange(BlockId block,
+                                                std::uint32_t run1) {
+  if (block >= dense_.size()) {
+    const std::uint64_t limit = 8 * static_cast<std::uint64_t>(run1) + 1024;
+    if (block >= limit) {
+      auto [it, inserted] = sparse_.try_emplace(block, run1);
+      return inserted ? 0 : std::exchange(it->second, run1);
+    }
+    // Grow geometrically within the limit; entries the hash map held for
+    // the newly covered ids move into the table.
+    const std::uint64_t grown = std::min<std::uint64_t>(
+        std::max<std::uint64_t>(block + 1, 2 * dense_.size()), limit);
+    dense_.resize(grown, 0);
+    for (auto it = sparse_.begin(); it != sparse_.end();) {
+      if (it->first < grown) {
+        dense_[it->first] = it->second;
+        it = sparse_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  return std::exchange(dense_[block], run1);
+}
+
 void BlockRunTrace::push(BlockId block, std::uint64_t count) {
   if (count == 0) return;
   accesses_ += count;
-  steps_.clear();  // appended runs invalidate the replay index
-  if (!runs_.empty() && runs_.back().block == block) {
-    runs_.back().count += count;
+  if (!runs_.empty() && last_block() == block) {
+    PackedRun& last = runs_.back();
+    const std::uint64_t top_up = std::min(count, kMaxRunCount - last.count);
+    last.count += static_cast<std::uint32_t>(top_up);
+    count -= top_up;
+  }
+  while (count != 0) {
+    const std::uint64_t piece = std::min(count, kMaxRunCount);
+    if (block >= kWideBlock) {
+      runs_.push_back(PackedRun{kWideBlock, static_cast<std::uint32_t>(piece)});
+      wide_blocks_.push_back(block);
+    } else {
+      runs_.push_back(PackedRun{static_cast<std::uint32_t>(block),
+                                static_cast<std::uint32_t>(piece)});
+    }
+    count -= piece;
+  }
+}
+
+std::vector<BlockRun> BlockRunTrace::runs() const {
+  std::vector<BlockRun> runs;
+  std::size_t wide = 0;
+  for (const PackedRun& run : runs_.view()) {
+    const BlockId block = block_of(run, wide);
+    if (!runs.empty() && runs.back().block == block) {
+      runs.back().count += run.count;  // an over-long run's next piece
+    } else {
+      runs.push_back(BlockRun{block, run.count});
+    }
+  }
+  return runs;
+}
+
+void BlockRunTrace::index_tail(BlockId block, LastSeen& last) {
+  if (runs_.size() >= kMaxIndexedRuns) {
+    steps_.clear();  // unindexable: generic replay
     return;
   }
-  runs_.push_back(BlockRun{block, count});
+  for (std::size_t i = steps_.size(); i < runs_.size(); ++i) {
+    steps_.push_back(
+        ReplayStep{last.exchange(block, static_cast<std::uint32_t>(i + 1))});
+  }
 }
 
 void BlockRunTrace::ensure_replay_index() {
   if (has_replay_index() || runs_.empty()) return;
-  constexpr std::uint64_t kMax = 0xffffffffull;
-  if (runs_.size() >= kMax) return;  // unindexable: generic replay
-  steps_.assign(runs_.size(), ReplayStep{0, 0});
-  for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].count >= kMax) {
-      steps_.clear();  // unindexable: generic replay
-      return;
-    }
-    steps_[i].count = static_cast<std::uint32_t>(runs_[i].count);
-  }
-  // AddressSpace hands out block ids densely from 0, so a direct-mapped
-  // table covers the common case without any hashing; fall back to a
-  // hash map only for genuinely sparse id spaces.
-  BlockId max_block = 0;
-  for (const BlockRun& run : runs_) max_block = std::max(max_block, run.block);
-  if (max_block <= 8 * runs_.size() + 1024) {
-    std::vector<std::uint32_t> last(max_block + 1, 0);  // block -> 1 + index
-    for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-      std::uint32_t& slot = last[runs_[i].block];
-      steps_[i].prev1 = slot;
-      slot = static_cast<std::uint32_t>(i + 1);
-    }
-    return;
-  }
-  std::unordered_map<BlockId, std::uint32_t> last;  // block -> 1 + run index
-  for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-    auto [it, inserted] =
-        last.try_emplace(runs_[i].block, static_cast<std::uint32_t>(i + 1));
-    if (!inserted) {
-      steps_[i].prev1 = it->second;
-      it->second = static_cast<std::uint32_t>(i + 1);
-    }
+  steps_.clear();
+  if (runs_.size() >= kMaxIndexedRuns) return;  // unindexable
+  LastSeen last;
+  std::size_t wide = 0;
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    const BlockId block = block_of(runs_[i], wide);
+    steps_.push_back(
+        ReplayStep{last.exchange(block, static_cast<std::uint32_t>(i + 1))});
   }
 }
 
@@ -64,24 +99,31 @@ void BlockRunTrace::replay_into(Machine& machine) const {
                          << machine.block_size());
   }
   const std::uint64_t b = machine.block_size();
-  for (const BlockRun& run : runs_) {
-    machine.access_run(run.block * b, run.count);
+  std::size_t wide = 0;
+  for (const PackedRun& run : runs_.view()) {
+    machine.access_run(block_of(run, wide) * b, run.count);
   }
 }
 
 std::vector<BlockId> BlockRunTrace::expand() const {
   std::vector<BlockId> blocks;
   blocks.reserve(accesses_);
-  for (const BlockRun& run : runs_) {
-    blocks.insert(blocks.end(), run.count, run.block);
+  std::size_t wide = 0;
+  for (const PackedRun& run : runs_.view()) {
+    blocks.insert(blocks.end(), run.count, block_of(run, wide));
   }
   return blocks;
+}
+
+void BlockRunRecorder::close_run(std::uint64_t end) {
+  trace_.push(run_block_, end - run_start_);
+  trace_.index_tail(run_block_, last_seen_);
 }
 
 void BlockRunRecorder::access_cold(WordAddr, BlockId block) {
   if (have_run_ && block == run_block_) return;  // per-access-path revisit
   const std::uint64_t seen = accesses() - 1;  // this access already counted
-  if (have_run_) trace_.push(run_block_, seen - run_start_);
+  if (have_run_) close_run(seen);
   run_block_ = block;
   run_start_ = seen;
   have_run_ = true;
@@ -90,10 +132,9 @@ void BlockRunRecorder::access_cold(WordAddr, BlockId block) {
 
 BlockRunTrace BlockRunRecorder::take() {
   if (have_run_) {
-    trace_.push(run_block_, accesses() - run_start_);
+    close_run(accesses());
     have_run_ = false;
   }
-  trace_.ensure_replay_index();
   return std::move(trace_);
 }
 

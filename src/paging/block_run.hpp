@@ -20,6 +20,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <span>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "paging/machine.hpp"
@@ -34,46 +40,116 @@ struct BlockRun {
   friend bool operator==(const BlockRun&, const BlockRun&) = default;
 };
 
+/// A growable array of trivially copyable T on malloc/realloc. Unlike
+/// std::vector it never copies into a fresh buffer to grow: glibc grows
+/// large blocks in place with mremap, so a long capture faults each page
+/// in once instead of once per doubling.
+template <class T>
+class PodBuffer {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  PodBuffer() = default;
+  PodBuffer(const PodBuffer&) = delete;
+  PodBuffer(PodBuffer&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)) {}
+  PodBuffer& operator=(PodBuffer other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(capacity_, other.capacity_);
+    return *this;
+  }
+  ~PodBuffer() { std::free(data_); }
+
+  void push_back(const T& value) {
+    if (size_ == capacity_) grow();
+    data_[size_++] = value;
+  }
+  void clear() { size_ = 0; }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T& back() { return data_[size_ - 1]; }
+  const T& back() const { return data_[size_ - 1]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  std::span<const T> view() const { return {data_, size_}; }
+
+ private:
+  void grow() {
+    const std::size_t capacity = capacity_ < 64 ? 64 : 2 * capacity_;
+    void* grown = std::realloc(data_, capacity * sizeof(T));
+    if (grown == nullptr) throw std::bad_alloc();
+    data_ = static_cast<T*>(grown);
+    capacity_ = capacity;
+  }
+
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
 /// A coalesced block-access trace. push() merges adjacent runs of the
-/// same block, so the stored form is canonical: no two neighboring runs
-/// share a block and every count is >= 1.
+/// same block, so the logical form (runs()) is canonical: no two
+/// neighboring runs share a block and every count is >= 1.
+///
+/// Storage is 12 bytes per stored run: an 8-byte PackedRun plus the
+/// 4-byte ReplayStep of the replay index. The rule for values that do
+/// not fit 32 bits keeps every trace exact:
+///   - a run of more than 2^32 - 1 accesses is stored as consecutive
+///     runs of the same block, each of at most 2^32 - 1 (full pieces
+///     first); replay, expand() and runs() see the original run;
+///   - a block id >= 2^32 - 1 is stored as kWideBlock with the id in a
+///     side table (8 more bytes for that run only).
 class BlockRunTrace {
  public:
+  /// One stored run: 32-bit block (or kWideBlock) and 32-bit count.
+  struct PackedRun {
+    std::uint32_t block;
+    std::uint32_t count;
+  };
+  static constexpr std::uint32_t kWideBlock = 0xffffffffu;
+  static constexpr std::uint64_t kMaxRunCount = 0xffffffffull;
+
+  /// One entry per stored run of the replay index that
+  /// CaMachine::replay_trace consumes: prev1 = 1 + index of the nearest
+  /// earlier run touching the same block, or 0 if there is none — so run
+  /// i touches a block unseen since run p began iff steps[i].prev1 <= p.
+  /// Kept to 4 bytes because the replay walk is memory-bound: real
+  /// traces coalesce poorly (block-alternating merge and matrix streams
+  /// have mean run length < 2), so the walk streams the whole index once
+  /// per trial.
+  struct ReplayStep {
+    std::uint32_t prev1;
+  };
+
   BlockRunTrace() = default;
   explicit BlockRunTrace(std::uint64_t block_size)
       : block_size_(block_size) {}
 
   void push(BlockId block, std::uint64_t count);
 
-  const std::vector<BlockRun>& runs() const { return runs_; }
+  /// The logical runs, decoded from storage (tests, diagnostics).
+  std::vector<BlockRun> runs() const;
+  /// Runs as stored: runs().size() plus one per over-long split.
+  std::uint64_t stored_runs() const { return runs_.size(); }
   std::uint64_t accesses() const { return accesses_; }
   /// Block size of the recording machine; 0 = unspecified.
   std::uint64_t block_size() const { return block_size_; }
 
-  /// One entry per run of the replay index that CaMachine::replay_trace
-  /// consumes: prev1 = 1 + index of the nearest earlier run touching the
-  /// same block, or 0 if there is none — so run i touches a block unseen
-  /// since run p began iff steps[i].prev1 <= p. count mirrors the run's
-  /// access count. Packed to 8 bytes because the replay walk is
-  /// memory-bound: real traces coalesce poorly (block-alternating merge
-  /// and matrix streams have mean run length < 2), so the walk streams
-  /// the whole index once per trial.
-  struct ReplayStep {
-    std::uint32_t prev1;
-    std::uint32_t count;
-  };
-
-  /// Build the replay index: one pass, done once per trace
-  /// (BlockRunRecorder::take finalizes it); afterwards any number of
-  /// threads replay off the shared read-only index. push() invalidates
-  /// it. Traces the packed form cannot represent (>= 2^32 - 1 runs, or a
-  /// single run of >= 2^32 accesses) are left unindexed and replay
-  /// through the generic per-run path.
+  /// Build the replay index offline, in one pass over the stored runs.
+  /// A BlockRunRecorder builds the same index online while it captures,
+  /// so recorded traces arrive indexed and this is a no-op for them;
+  /// afterwards any number of threads replay off the shared read-only
+  /// index. A push() that adds a stored run invalidates it. A trace of
+  /// >= 2^32 - 1 stored runs (prev1 would overflow) is left unindexed
+  /// and replays through the generic per-run path.
   void ensure_replay_index();
   bool has_replay_index() const {
     return !runs_.empty() && steps_.size() == runs_.size();
   }
-  const std::vector<ReplayStep>& replay_steps() const { return steps_; }
+  std::span<const ReplayStep> replay_steps() const { return steps_.view(); }
 
   /// Drive `machine` through the trace: exactly equivalent (block-wise)
   /// to re-running the recorded algorithm against it. Checks the block
@@ -84,10 +160,41 @@ class BlockRunTrace {
   std::vector<BlockId> expand() const;
 
  private:
+  friend class BlockRunRecorder;
+
+  static constexpr std::uint64_t kMaxIndexedRuns = 0xffffffffull;
+
+  /// block -> 1 + index of the latest run touching it. AddressSpace hands
+  /// out block ids densely from 0, so a direct-mapped table covers the
+  /// common case without hashing; it grows on demand up to 8 slots per
+  /// run seen (+1024), and genuinely sparse ids go to a hash map.
+  class LastSeen {
+   public:
+    /// Note that run `run1 - 1` touches `block`; return the previous
+    /// entry (0 if none).
+    std::uint32_t exchange(BlockId block, std::uint32_t run1);
+
+   private:
+    std::vector<std::uint32_t> dense_;
+    std::unordered_map<BlockId, std::uint32_t> sparse_;
+  };
+
+  BlockId block_of(const PackedRun& run, std::size_t& wide) const {
+    return run.block != kWideBlock ? run.block : wide_blocks_[wide++];
+  }
+  BlockId last_block() const {
+    return runs_.back().block != kWideBlock ? runs_.back().block
+                                            : wide_blocks_.back();
+  }
+  /// Index the stored runs not yet indexed, all of which touch `block`
+  /// (the recorder calls this after each push).
+  void index_tail(BlockId block, LastSeen& last);
+
   std::uint64_t block_size_ = 0;
   std::uint64_t accesses_ = 0;
-  std::vector<BlockRun> runs_;
-  std::vector<ReplayStep> steps_;
+  PodBuffer<PackedRun> runs_;
+  PodBuffer<ReplayStep> steps_;
+  std::vector<BlockId> wide_blocks_;  ///< ids of kWideBlock runs, in order
 };
 
 /// A Machine that captures the coalesced block-run stream of whatever is
@@ -95,12 +202,17 @@ class BlockRunTrace {
 /// accesses ride the base-class shortcut, so capturing costs O(block
 /// changes), and run lengths are recovered exactly from the access
 /// counter — the recorder works identically on the per-access path.
+/// Each closed run is indexed as it is stored, so the trace is complete
+/// at take() with no second pass over the runs.
 class BlockRunRecorder final : public Machine {
  public:
   explicit BlockRunRecorder(std::uint64_t block_size)
       : Machine(block_size), trace_(block_size) {}
 
   std::uint64_t misses() const override { return 0; }
+
+  /// The runs closed so far (the open run is not yet stored), indexed.
+  const BlockRunTrace& trace() const { return trace_; }
 
   /// Finalize the pending run and move the trace out. The recorder is
   /// spent afterwards (recording into it again is undefined).
@@ -110,7 +222,10 @@ class BlockRunRecorder final : public Machine {
   void access_cold(WordAddr, BlockId block) override;
 
  private:
+  void close_run(std::uint64_t end);
+
   BlockRunTrace trace_;
+  BlockRunTrace::LastSeen last_seen_;
   BlockId run_block_ = 0;
   std::uint64_t run_start_ = 0;  ///< accesses() before the open run began
   bool have_run_ = false;

@@ -1,5 +1,7 @@
 #include "paging/ca_machine.hpp"
 
+#include <span>
+
 #include "util/check.hpp"
 
 namespace cadapt::paging {
@@ -72,11 +74,11 @@ void CaMachine::start_next_box() {
 }
 
 void CaMachine::replay_trace(const BlockRunTrace& trace) {
-  // The fast walk's never-evict argument only holds for the historical
-  // Definition-1 machine (plain LRU, full share, one tier); everything
-  // else must actually run the cache(s).
+  // The fast walk's never-evict argument holds for any fully associative
+  // policy at full share on one tier; everything else must actually run
+  // the cache(s).
   ReplayPath generic = ReplayPath::kNone;
-  if (!plain_) {
+  if (!config_.evicts_only_at_rollover()) {
     generic = ReplayPath::kGenericConfig;
   } else if (recorder_ != nullptr) {
     generic = ReplayPath::kGenericRecorder;
@@ -101,7 +103,8 @@ void CaMachine::replay_trace(const BlockRunTrace& trace) {
                          << trace.block_size() << ", machine uses "
                          << block_size());
   }
-  const std::vector<BlockRunTrace::ReplayStep>& steps = trace.replay_steps();
+  const std::span<const BlockRunTrace::ReplayStep> steps =
+      trace.replay_steps();
   std::uint64_t box_start = 0;  // run index where the current box began
   std::uint64_t new_misses = 0;
   for (std::uint64_t i = 0; i < steps.size(); ++i) {

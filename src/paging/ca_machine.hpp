@@ -28,7 +28,7 @@ namespace cadapt::paging {
 enum class ReplayPath : std::uint8_t {
   kNone,               ///< replay_trace not called yet
   kFastWalk,           ///< Definition-1 fast walk
-  kGenericConfig,      ///< non-LRU policy, scaled share, or two tiers
+  kGenericConfig,      ///< set-associative policy, scaled share, or two tiers
   kGenericRecorder,    ///< per-access recorder attached
   kGenericPerAccess,   ///< set_per_access(true)
   kGenericBoxHook,     ///< box hook must see real cache state
@@ -98,10 +98,14 @@ class CaMachine final : public Machine {
   /// previous-occurrence index that is one branch per run — no hash
   /// probe, no LRU update (docs/PERF.md, "Paging fast path"). Falls back
   /// to the generic per-run replay whenever exactness demands it: a
-  /// non-default CaConfig (the walk's never-evict argument needs plain
-  /// LRU at full share with one tier), a recorder or per-access mode
-  /// (per-access observation), a box hook (fault injection must see
-  /// real cache state), prior accesses, or a trace without its index.
+  /// CaConfig whose cache can evict before the box runs out (the walk
+  /// needs a fully associative policy at full share with one tier —
+  /// CaConfig::evicts_only_at_rollover; lru, clock, arc and car all
+  /// walk), a recorder or per-access mode (per-access observation), a
+  /// box hook (fault injection must see real cache state), prior
+  /// accesses, or a trace without its index. Only replay takes the
+  /// walk: direct accesses always run the configured policy's cache, so
+  /// a recorder still sees that policy's own per-access eviction flags.
   /// last_replay_path() reports which path ran and, for the generic
   /// path, why. After the fast walk the counters are final but the
   /// cache contents are unspecified: do not feed the machine further
@@ -151,7 +155,8 @@ class CaMachine final : public Machine {
   std::uint64_t box_log_cap_ = 0;
   std::uint64_t box_log_dropped_ = 0;
   // Cache events accounted by the replay_trace fast walk, which bypasses
-  // cache_; folded into cache_stats() so totals match the direct run.
+  // the tier-1 cache (cache_ or tier1_); folded into cache_stats() so
+  // totals match the direct run.
   std::uint64_t replay_hits_ = 0;
   std::uint64_t replay_misses_ = 0;
   std::uint64_t replay_evictions_ = 0;

@@ -43,6 +43,9 @@ struct PolicySpec {
 
   std::string token() const;
   bool is_lru() const { return kind == PolicyKind::kLru; }
+  /// Any block may occupy any frame (everything but assoc:W), so the
+  /// cache cannot evict while it has a free frame.
+  bool fully_associative() const { return kind != PolicyKind::kLruAssoc; }
 
   friend bool operator==(const PolicySpec&, const PolicySpec&) = default;
 };
@@ -95,8 +98,9 @@ struct CaConfig {
   /// Tier-1 capacity share: a box of size s installs a tier-1 cache of
   /// max(1, floor(s * num / den)) blocks (num <= den). With the full
   /// share (1/1) and a single tier, capacity equals the miss budget and
-  /// the machine never evicts under pressure — which is why replacement
-  /// policy is only observable below full share or with two tiers.
+  /// a fully associative policy never evicts under pressure — which is
+  /// why replacement policy is only observable below full share, with
+  /// two tiers, or through a set-associative cache.
   std::uint64_t tier1_num = 1;
   std::uint64_t tier1_den = 1;
 
@@ -111,10 +115,20 @@ struct CaConfig {
 
   bool two_tier() const { return tier2_blocks != 0; }
   /// True iff this config is the historical machine (plain LRU, full
-  /// share, single tier) — the LruCache fast path and the replay_trace
-  /// fast walk are valid exactly then.
+  /// share, single tier) — the one CaMachine runs directly on its
+  /// LruCache member.
   bool plain_lru() const {
-    return policy.is_lru() && !two_tier() && tier1_num == tier1_den;
+    return policy.is_lru() && evicts_only_at_rollover();
+  }
+  /// True iff the only eviction a box can see is the one at its rollover
+  /// (full share, single tier, fully associative policy): a box of size
+  /// x installs a cache of x blocks for x misses, so it fills exactly
+  /// when the box runs out. The cache's hit, miss and eviction counters
+  /// are then the same for every such policy, which is what lets
+  /// CaMachine::replay_trace take its fast walk.
+  bool evicts_only_at_rollover() const {
+    return policy.fully_associative() && !two_tier() &&
+           tier1_num == tier1_den;
   }
   /// Tier-1 blocks installed for a box of size `box` (>= 1).
   std::uint64_t tier1_capacity(std::uint64_t box) const;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "campaign/cell_runner.hpp"
@@ -330,23 +331,24 @@ TEST(TraceReplayDifferential, BoxLogCapMatches) {
   EXPECT_EQ(walk.box_log(), direct.box_log());
 }
 
-// A non-default machine config (docs/PAGING.md) invalidates the fast
-// walk's never-evict argument: replay_trace must detect it, report
-// kGenericConfig, and match a direct run of the expanded stream counter
-// for counter — for a non-LRU policy, a scaled tier-1 share, and a
-// two-tier machine.
+// A machine config whose cache can evict before the box runs out
+// (docs/PAGING.md) invalidates the fast walk's never-evict argument:
+// replay_trace must detect it, report kGenericConfig, and match a direct
+// run of the expanded stream counter for counter — for a set-associative
+// policy (a set can fill before the cache does), a scaled tier-1 share,
+// and a two-tier machine.
 TEST(TraceReplayDifferential, PolicyConfigFallsBack) {
   const BlockRunTrace trace = random_trace(61, 3000);
   ASSERT_TRUE(trace.has_replay_index());
-  CaConfig clock_config;
-  clock_config.policy = paging::parse_policy_token("clock");
+  CaConfig assoc_config;
+  assoc_config.policy = paging::parse_policy_token("assoc:4");
   CaConfig scaled_config;
   scaled_config.tier1_num = 1;
   scaled_config.tier1_den = 2;
   CaConfig tiered_config;
   tiered_config.tier2_blocks = 64;
-  for (const CaConfig& config : {clock_config, scaled_config, tiered_config}) {
-    ASSERT_FALSE(config.plain_lru());
+  for (const CaConfig& config : {assoc_config, scaled_config, tiered_config}) {
+    ASSERT_FALSE(config.evicts_only_at_rollover());
     CaMachine replayed(random_boxes(61), 8, /*record_boxes=*/true, nullptr,
                        config);
     replayed.replay_trace(trace);
@@ -356,6 +358,52 @@ TEST(TraceReplayDifferential, PolicyConfigFallsBack) {
                      config);
     for (const BlockId block : trace.expand()) direct.access(block * 8);
     expect_ca_machines_eq(replayed, direct);
+  }
+}
+
+// Boxes of 1..8 blocks, mostly size 1: a rollover every few misses.
+std::unique_ptr<profile::BoxSource> tiny_boxes(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<profile::BoxSize> boxes;
+  for (int i = 0; i < 29; ++i) {
+    boxes.push_back(rng.below(3) == 0 ? 1 + rng.below(8) : 1);
+  }
+  return std::make_unique<profile::CyclingSource>([boxes] {
+    return std::make_unique<profile::VectorSource>(boxes);
+  });
+}
+
+// At full share on one tier a fully associative cache of x blocks cannot
+// evict before its box's x misses run out, so clock, arc and car take
+// the fast walk too. The walk must equal, counter for counter (cache
+// stats and their rollover evictions included), a direct per-access run
+// of the same config, which drives the real policy cache.
+TEST(TraceReplayDifferential, FullShareFullyAssociativeWalks) {
+  for (const char* token : {"clock", "arc", "car"}) {
+    CaConfig config;
+    config.policy = paging::parse_policy_token(token);
+    ASSERT_TRUE(config.evicts_only_at_rollover()) << token;
+    ASSERT_FALSE(config.plain_lru()) << token;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const BlockRunTrace trace = random_trace(100 + seed, 4000);
+      for (const bool tiny : {true, false}) {
+        const auto boxes = [&] {
+          return tiny ? tiny_boxes(seed) : random_boxes(seed);
+        };
+        CaMachine walk(boxes(), 8, /*record_boxes=*/true, nullptr, config);
+        walk.replay_trace(trace);
+        EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk) << token;
+
+        CaMachine direct(boxes(), 8, /*record_boxes=*/true, nullptr, config);
+        direct.set_per_access(true);
+        for (const BlockId block : trace.expand()) direct.access(block * 8);
+
+        SCOPED_TRACE(std::string(token) + " seed " + std::to_string(seed) +
+                     (tiny ? " tiny" : " random"));
+        EXPECT_GT(direct.cache_stats().evictions, tiny ? 1000u : 50u);
+        expect_ca_machines_eq(walk, direct);
+      }
+    }
   }
 }
 
@@ -393,6 +441,171 @@ TEST(TraceReplayDifferential, ReplayPathNames) {
                "generic:config");
   EXPECT_STREQ(paging::replay_path_name(ReplayPath::kGenericUnindexed),
                "generic:unindexed");
+}
+
+// ---- Trace storage and the online replay index ----
+
+static_assert(sizeof(BlockRunTrace::PackedRun) +
+                  sizeof(BlockRunTrace::ReplayStep) ==
+              12);
+
+// The offline index over the same stored runs: rebuild the trace from
+// its logical runs by push() (same storage rule) and index it in a pass.
+std::vector<std::uint32_t> offline_index(const BlockRunTrace& trace) {
+  BlockRunTrace copy(trace.block_size());
+  for (const paging::BlockRun& run : trace.runs()) {
+    copy.push(run.block, run.count);
+  }
+  EXPECT_FALSE(copy.has_replay_index());
+  copy.ensure_replay_index();
+  std::vector<std::uint32_t> prev;
+  for (const auto& step : copy.replay_steps()) prev.push_back(step.prev1);
+  return prev;
+}
+
+std::vector<std::uint32_t> index_of(const BlockRunTrace& trace) {
+  std::vector<std::uint32_t> prev;
+  for (const auto& step : trace.replay_steps()) prev.push_back(step.prev1);
+  return prev;
+}
+
+// The index by definition, over the logical runs (no over-long runs).
+std::vector<std::uint32_t> naive_index(const BlockRunTrace& trace) {
+  const std::vector<paging::BlockRun> runs = trace.runs();
+  std::vector<std::uint32_t> prev(runs.size(), 0);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i; j-- > 0;) {
+      if (runs[j].block == runs[i].block) {
+        prev[i] = static_cast<std::uint32_t>(j + 1);
+        break;
+      }
+    }
+  }
+  return prev;
+}
+
+// The recorder indexes each run as it closes. Its index must equal the
+// offline pass on the same runs, and the index by definition, for dense
+// ids (direct-mapped table), sparse ids (hash map), a mix that moves
+// hashed ids into the growing table, and ids straddling the 32-bit
+// boundary (side-table storage).
+TEST(TraceIndex, RecorderIndexEqualsOffline) {
+  const auto draw = [](util::Rng& rng, int kind) -> BlockId {
+    switch (kind) {
+      case 0: return rng.below(1 << 12);                       // dense
+      case 1: return rng.below(1ull << 30);                    // sparse
+      case 2:                                                  // mixed
+        return rng.below(4) == 0 ? rng.below(1 << 16) : rng.below(300);
+      default:                                                 // 2^32 edge
+        return rng.below(2) == 0 ? 0xfffffffcull + rng.below(8)
+                                 : rng.below(64);
+    }
+  };
+  for (int kind = 0; kind < 4; ++kind) {
+    BlockRunRecorder recorder(8);
+    util::Rng rng(200 + static_cast<std::uint64_t>(kind));
+    for (int i = 0; i < 3000; ++i) {
+      recorder.access_run(draw(rng, kind) * 8, 1 + rng.below(5));
+    }
+    const BlockRunTrace trace = recorder.take();
+    ASSERT_TRUE(trace.has_replay_index()) << "kind " << kind;
+    EXPECT_EQ(index_of(trace), offline_index(trace)) << "kind " << kind;
+    EXPECT_EQ(index_of(trace), naive_index(trace)) << "kind " << kind;
+  }
+}
+
+// Block ids at and beyond 2^32 - 1 round-trip through storage and
+// replay exactly: runs(), expand(), and the walk against a direct run.
+TEST(TraceIndex, WideBlockIdsReplayExactly) {
+  BlockRunRecorder recorder(8);
+  const std::vector<BlockId> blocks = {
+      0xfffffffeull, 0xffffffffull, 0x100000000ull, 3, 0xffffffffull,
+      0x100000000ull, 0xfffffffeull, 1ull << 40, 3, 1ull << 40};
+  std::vector<paging::BlockRun> want;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    recorder.access_run(blocks[i] * 8, 1 + i);
+    want.push_back(paging::BlockRun{blocks[i], 1 + i});
+  }
+  const BlockRunTrace trace = recorder.take();
+  EXPECT_EQ(trace.runs(), want);
+  EXPECT_EQ(trace.stored_runs(), want.size());
+  EXPECT_EQ(index_of(trace),
+            (std::vector<std::uint32_t>{0, 0, 0, 0, 2, 3, 1, 0, 4, 8}));
+  EXPECT_EQ(index_of(trace), offline_index(trace));
+
+  CaMachine walk(tiny_boxes(5), 8);
+  walk.replay_trace(trace);
+  EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+  CaMachine direct(tiny_boxes(5), 8);
+  for (const BlockId block : trace.expand()) direct.access(block * 8);
+  expect_ca_machines_eq(walk, direct);
+}
+
+// A run longer than 2^32 - 1 accesses is stored as full pieces of
+// 2^32 - 1 plus the remainder, re-merged by runs(); push() tops up the
+// last piece before opening a new one. The pieces index and replay
+// exactly like the run they came from.
+TEST(TraceIndex, OverLongRunsSplitIntoPieces) {
+  constexpr std::uint64_t kMax = BlockRunTrace::kMaxRunCount;
+  BlockRunTrace trace(8);
+  trace.push(3, kMax + 6);      // two pieces: kMax, 6
+  trace.push(7, 1);
+  trace.push(3, 5);
+  trace.push(3, 2 * kMax);      // tops up to kMax, then kMax, then 5
+  trace.push(1ull << 40, kMax + 1);  // wide id, two pieces
+  EXPECT_EQ(trace.runs(),
+            (std::vector<paging::BlockRun>{{3, kMax + 6},
+                                           {7, 1},
+                                           {3, 2 * kMax + 5},
+                                           {1ull << 40, kMax + 1}}));
+  EXPECT_EQ(trace.stored_runs(), 8u);
+  EXPECT_EQ(trace.accesses(), 4 * kMax + 13);
+  BlockRunTrace two_full(8);
+  two_full.push(9, 2 * kMax);
+  EXPECT_EQ(two_full.stored_runs(), 2u);
+  trace.ensure_replay_index();
+  ASSERT_TRUE(trace.has_replay_index());
+  EXPECT_EQ(index_of(trace),
+            (std::vector<std::uint32_t>{0, 1, 0, 2, 4, 5, 0, 7}));
+
+  // The walk against the generic replay of the same trace (unindexed
+  // copy; the plain machine retires each hot run in O(1)).
+  CaMachine walk(tiny_boxes(9), 8);
+  walk.replay_trace(trace);
+  EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+  BlockRunTrace unindexed(8);
+  for (const paging::BlockRun& run : trace.runs()) {
+    unindexed.push(run.block, run.count);
+  }
+  CaMachine generic(tiny_boxes(9), 8);
+  generic.replay_trace(unindexed);
+  EXPECT_EQ(generic.last_replay_path(), ReplayPath::kGenericUnindexed);
+  expect_ca_machines_eq(walk, generic);
+}
+
+// Capture builds the index online: the runs closed so far are indexed
+// before take() (which makes no second pass), and a push() that opens a
+// new stored run invalidates the index while one that extends the last
+// run keeps it.
+TEST(TraceIndex, RecorderTraceArrivesIndexed) {
+  BlockRunRecorder recorder(8);
+  util::Rng rng(77);
+  for (int i = 0; i < 500; ++i) {
+    recorder.access_run(rng.below(64) * 8, 1 + rng.below(3));
+    if (recorder.trace().stored_runs() != 0) {
+      ASSERT_TRUE(recorder.trace().has_replay_index()) << "run " << i;
+    }
+  }
+  const std::uint64_t closed = recorder.trace().stored_runs();
+  BlockRunTrace trace = recorder.take();
+  EXPECT_EQ(trace.stored_runs(), closed + 1);  // take() closes the open run
+  ASSERT_TRUE(trace.has_replay_index());
+
+  const BlockId last = trace.runs().back().block;
+  trace.push(last, 4);
+  EXPECT_TRUE(trace.has_replay_index());
+  trace.push(last + 1, 1);
+  EXPECT_FALSE(trace.has_replay_index());
 }
 
 // ---- Cell-level bit identity through the campaign runner ----

@@ -729,9 +729,9 @@ TEST(PolicyCellDifferential, PoolSizesAndDispatchAgree) {
   }
 }
 
-// Capture/replay with a policy config routes through the generic replay
-// (the fast walk's never-evict argument needs the plain machine) and
-// must still be deterministic across pools and vs per-access.
+// Capture/replay on a two-tier machine routes through the generic replay
+// (the fast walk's never-evict argument needs full share on one tier)
+// and must still be deterministic across pools and vs per-access.
 TEST(PolicyCellDifferential, CaptureReplayFallsBackDeterministically) {
   const auto base = run_policy_cell("clock", /*tiers=*/true, /*capture=*/true,
                                     /*per_access=*/false, /*threads=*/1);
