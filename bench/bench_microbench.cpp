@@ -163,6 +163,27 @@ void BM_EngineRunBoxesRecorded(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRunBoxesRecorded)->Arg(6)->Arg(10);
 
+// E4's constant stream (iid:point:16) through run_to_completion's bulk path
+// (docs/PERF.md, "Constant streams"): one point-mass run covers the
+// execution and the engine retires whole fresh subproblems from it, so
+// a k = 12 trial (~2.1e9 boxes) costs O(k) steps. Items processed counts
+// boxes retired, comparable with BM_EngineRunBoxes.
+void BM_EngineRunPointMass(benchmark::State& state) {
+  const auto k = static_cast<unsigned>(state.range(0));
+  const std::uint64_t n = util::ipow(4, k);
+  const profile::PointMass point(16);
+  util::Rng rng(42);
+  std::uint64_t boxes = 0;
+  for (auto _ : state) {
+    profile::DistributionSource source(point, rng.split());
+    engine::RegularExecution exec({8, 4, 1.0}, n);
+    engine::run_to_completion(exec, source);
+    boxes += exec.boxes_consumed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+BENCHMARK(BM_EngineRunPointMass)->DenseRange(8, 12);
+
 // Theorem 1's random box streams through the default bulk driver, one Arg
 // per profile of the smoothed benchmark (8:4:1, k = 6). All but `shifted`
 // run box by box, so items/sec is the random-stream path's boxes/s

@@ -249,13 +249,15 @@ BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
 }
 
 RunReport RegularExecution::consume_run(profile::BoxSize s,
-                                        std::uint64_t count) {
+                                        std::uint64_t count,
+                                        const robust::CancelToken* cancel) {
   CADAPT_CHECK_MSG(count >= 1, "run count must be >= 1");
   CADAPT_CHECK_MSG(!done(), "consume_run on a finished execution");
   RunReport report;
   // A per-box recorder must observe every box: literal reference loop.
   if (recorder_ != nullptr && !recorder_->aggregates_runs()) {
     for (std::uint64_t i = 0; i < count && !done(); ++i) {
+      if (cancel != nullptr) cancel->poll();
       const BoxReport r = consume_box(s);
       report.progress += r.progress;
       report.completed_problem =
@@ -269,7 +271,22 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
   // finish it per-box instead of re-probing (and re-copying the stack)
   // for every remaining box.
   bool probing = true;
+  // Subtree retirement needs optimistic semantics and no recorder (its
+  // per-size-class tallies would need every box of the subtree).
+  const bool retiring =
+      semantics_ == BoxSemantics::kOptimistic && recorder_ == nullptr;
   while (consumed < count && !done()) {
+    if (cancel != nullptr) cancel->poll();
+    // (0) Constant-stream subtree retirement: from the fresh start of a
+    // problem larger than s, equal boxes complete it in a closed-form
+    // count. Retire the largest fresh problem the rest of the run covers.
+    if (retiring && count - consumed >= 2 && stack_.back().size == 1) {
+      const std::uint64_t retired = retire_fresh(s, count - consumed, report);
+      if (retired > 0) {
+        consumed += retired;
+        continue;
+      }
+    }
     // (1) Arithmetic in-scan stretch: the position is inside a scan chunk
     // and each box advances it by exactly s, strictly within the chunk —
     // q boxes collapse to one addition. (Optimistic boxes land in the
@@ -332,6 +349,58 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
     if (recorder_ != nullptr) recorder_->replay(mark, m);
   }
   return report;
+}
+
+std::uint64_t RegularExecution::retire_fresh(profile::BoxSize s,
+                                             std::uint64_t budget,
+                                             RunReport& report) {
+  // Walk up from the pending leaf while the position is still the start of
+  // each enclosing problem (the frame above is in its child 0). A problem
+  // of size <= s is one box; above that, B(j) = a·B(j-1) + scan boxes(j).
+  std::size_t best = stack_.size();
+  std::uint64_t best_boxes = 0;
+  std::uint64_t boxes = 1;
+  for (std::size_t i = stack_.size() - 1;; --i) {
+    const Frame& f = stack_[i];
+    if (f.size > s) {
+      boxes = params_.a * boxes + scan_boxes(f.level, s);
+      if (boxes > budget) break;
+      best = i;
+      best_boxes = boxes;
+    }
+    if (i == 0 || stack_[i - 1].phase != 0) break;
+  }
+  if (best == stack_.size()) return 0;
+  const std::uint64_t leaves = leaves_by_level_[stack_[best].level];
+  report.progress += leaves;
+  report.completed_problem =
+      std::max(report.completed_problem, stack_[best].size);
+  leaves_done_ += leaves;
+  boxes_consumed_ += best_boxes;
+  stack_.resize(best);
+  if (!stack_.empty()) {
+    // The subtree's last box ends exactly at its end; retiring it may
+    // cascade, as it does after that literal box.
+    stack_.back().phase += 1;
+    stack_.back().scan_offset = 0;
+    report.completed_problem =
+        std::max(report.completed_problem, normalize());
+  }
+  return best_boxes;
+}
+
+std::uint64_t RegularExecution::scan_boxes(std::uint64_t level,
+                                           profile::BoxSize s) const {
+  // Each box advances min(s, rest of its chunk): a chunk of L blocks takes
+  // ceil(L / s) boxes and an empty one none. Only kInterleaved splits the
+  // scan; the other placements put it in one chunk, wherever it sits.
+  const std::uint64_t scan = scan_by_level_[level];
+  auto ceil_div = [s](std::uint64_t len) { return (len + s - 1) / s; };
+  if (placement_ != ScanPlacement::kInterleaved) return ceil_div(scan);
+  const std::uint64_t a = params_.a;
+  const std::uint64_t base = scan / a;
+  const std::uint64_t extra = scan % a;
+  return extra * ceil_div(base + 1) + (a - extra) * ceil_div(base);
 }
 
 StackSignature RegularExecution::signature() const {
@@ -453,6 +522,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
                             const RunOptions& options) {
   obs::ExecRecorder* recorder = options.recorder;
   if (recorder != nullptr) exec.set_recorder(recorder);
+  const robust::CancelToken* cancel = options.cancel;
   model::AdaptivityAccumulator acc(exec.params(), exec.problem_size());
   RunResult result;
   const std::uint64_t max_boxes = options.max_boxes;
@@ -460,7 +530,6 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   // recorder; either way the loop below is the seed driver, byte for byte.
   const bool bulk = !options.per_box &&
                     (recorder == nullptr || recorder->aggregates_runs());
-  const robust::CancelToken* cancel = options.cancel;
   if (!bulk) {
     while (!exec.done()) {
       if (cancel != nullptr) cancel->poll();
@@ -487,23 +556,29 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         result.stop = StopReason::kBoxCapHit;
         break;
       }
-      if (blocks) {
-        if (const auto blk = source.peek_block()) {
-          // One-box repeats gain nothing over runs; a repeat that cannot
-          // finish under the cap can never be replayed.
-          if (blk->repeats >= 2 && blk->boxes_per_repeat >= 2 &&
-              exec.boxes_consumed() + blk->boxes_per_repeat <= max_boxes) {
-            BlockProbe probe;
-            probe.sig = exec.signature();
-            probe.target = exec.boxes_consumed() + blk->boxes_per_repeat;
-            probe.boxes_per_repeat = blk->boxes_per_repeat;
-            probe.repeats_left = blk->repeats - 1;
-            probe.leaves_before = exec.leaves_done();
-            probe.acc_before = acc.mark();
-            if (recorder != nullptr) probe.mark = recorder->mark();
-            probes.push_back(std::move(probe));
-          }
+      // Open a probe at every block boundary the stream sits on: the
+      // announced block, then (stepping in with enter_repeat) the block
+      // nested at the start of its first repeat, and so on down. No box is
+      // consumed in between, so the nested probes share one start
+      // signature; each closes at its own target below.
+      while (blocks) {
+        const auto blk = source.peek_block();
+        // One-box repeats gain nothing over runs.
+        if (!blk || blk->boxes_per_repeat < 2) break;
+        // A repeat that cannot finish under the cap can never be replayed.
+        if (blk->repeats >= 2 &&
+            exec.boxes_consumed() + blk->boxes_per_repeat <= max_boxes) {
+          BlockProbe probe;
+          probe.sig = exec.signature();
+          probe.target = exec.boxes_consumed() + blk->boxes_per_repeat;
+          probe.boxes_per_repeat = blk->boxes_per_repeat;
+          probe.repeats_left = blk->repeats - 1;
+          probe.leaves_before = exec.leaves_done();
+          probe.acc_before = acc.mark();
+          if (recorder != nullptr) probe.mark = recorder->mark();
+          probes.push_back(std::move(probe));
         }
+        if (!source.enter_repeat()) break;
       }
       const auto run = source.next_run();
       if (!run) {
@@ -513,7 +588,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
       const std::uint64_t take = std::min<std::uint64_t>(
           run->count, max_boxes - exec.boxes_consumed());
       const std::uint64_t before_boxes = exec.boxes_consumed();
-      exec.consume_run(run->size, take);
+      exec.consume_run(run->size, take, cancel);
       // Only the boxes actually consumed are charged (the run may end
       // early when the execution completes) — same count, same values,
       // same addition sequence as the per-box loop.

@@ -127,7 +127,11 @@ class RegularExecution {
   /// number of boxes actually consumed via boxes_consumed(). Falls back
   /// to literal per-box stepping whenever a per-box recorder is attached
   /// (ExecRecorder in kBoxes granularity) or no closed form applies.
-  RunReport consume_run(profile::BoxSize s, std::uint64_t count);
+  /// A non-null `cancel` is polled once per step, so a single long run
+  /// (a point-mass run can span the whole execution) stays interruptible
+  /// (docs/ROBUSTNESS.md).
+  RunReport consume_run(profile::BoxSize s, std::uint64_t count,
+                        const robust::CancelToken* cancel = nullptr);
 
   /// Snapshot of the stack for periodicity probing. O(depth).
   StackSignature signature() const;
@@ -198,6 +202,16 @@ class RegularExecution {
   /// scan chunk with work remaining; completed frames are retired.
   /// Returns the size of the largest problem retired, or 0.
   std::uint64_t normalize();
+  /// consume_run's constant-stream step (docs/PERF.md, "Constant
+  /// streams"): with the deepest frame a pending leaf, retire the largest
+  /// enclosing problem that is still at its start, is larger than s, and
+  /// completes within `budget` boxes of size s. Returns the boxes
+  /// retired: 0, changing nothing, when no such problem exists.
+  std::uint64_t retire_fresh(profile::BoxSize s, std::uint64_t budget,
+                             RunReport& report);
+  /// Boxes of size s that the scan of a level-`level` problem takes from
+  /// its start, summed over its chunks.
+  std::uint64_t scan_boxes(std::uint64_t level, profile::BoxSize s) const;
 
   BoxReport consume_box_optimistic(profile::BoxSize s);
   BoxReport consume_box_budgeted(profile::BoxSize s);
@@ -265,8 +279,9 @@ struct RunOptions {
   /// debugging can compare the two.
   bool per_box = false;
   /// Cooperative cancellation (docs/ROBUSTNESS.md): polled at every loop
-  /// head (per box on the reference path, per run on the bulk path), so
-  /// a deadline interrupts even a single enormous trial. Throws
+  /// head (per box on the reference path, per run and per consume_run
+  /// step on the bulk path), so a deadline interrupts even a single
+  /// enormous trial. Throws
   /// robust::CancelledError out of run_to_completion; the campaign
   /// drivers discard the interrupted work (never aggregate it). Null =
   /// disabled, one never-taken branch of overhead.

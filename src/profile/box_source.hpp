@@ -19,6 +19,9 @@
 //    recursive copies of M(n/b) inside M(n)). The engine consumes one
 //    copy, checks that the execution state advanced periodically, and
 //    retires the remaining copies in closed form via skip_repeats.
+//    enter_repeat() steps into the first copy without consuming a box, so
+//    the blocks nested inside it (the a copies of M(n/b^2) inside the
+//    first M(n/b), and so on down) are announced too.
 //
 // A caller that consumes runs/blocks may leave the source a few boxes
 // ahead of where a per-box caller would have (a run drawn but only partly
@@ -85,6 +88,14 @@ class BoxSource {
   /// repeats already consumed does not exceed the announced count.
   /// Default: no block support — must not be called.
   virtual void skip_repeats(std::uint64_t m);
+
+  /// Step into the first repeat of the block peek_block() announces,
+  /// without consuming a box, so that peek_block() then announces the
+  /// block nested at the start of that repeat. The stream is unchanged:
+  /// the boxes delivered afterwards are exactly those delivered without
+  /// the step. Returns false, and does nothing, when the source has no
+  /// nested block to step into here. Default: false.
+  virtual bool enter_repeat() { return false; }
 };
 
 /// Factory producing a fresh, rewound instance of a profile stream.
@@ -166,6 +177,7 @@ class CyclingSource final : public BoxSource {
     return inner_->peek_block();
   }
   void skip_repeats(std::uint64_t m) override { inner_->skip_repeats(m); }
+  bool enter_repeat() override { return inner_->enter_repeat(); }
 
  private:
   SourceFactory factory_;
@@ -238,6 +250,10 @@ class ConcatSource final : public BoxSource {
       return;
     }
     second_->skip_repeats(m);
+  }
+  bool enter_repeat() override {
+    if (first_) return first_->enter_repeat();
+    return second_->enter_repeat();
   }
 
  private:

@@ -154,14 +154,17 @@ class Empirical final : public BoxDistribution {
 /// exception is a point mass: every delivered value is the same forever,
 /// so runs of kPointMassChunk boxes are emitted from a single head draw;
 /// the RNG is private to this source, so the skipped per-box draws are
-/// unobservable in any result.
+/// unobservable in any result. The chunk equals the engine's default box
+/// cap, so one run can cover a whole execution and the engine retires
+/// whole subproblems from it (docs/PERF.md, "Constant streams"); callers
+/// that expand runs box by box must bound the expansion themselves.
 class DistributionSource final : public BoxSource {
  public:
   DistributionSource(const BoxDistribution& dist, util::Rng rng)
       : dist_(&dist), rng_(rng),
         point_mass_(dist.pmf().size() == 1) {}
 
-  static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 12;
+  static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 40;
 
   std::optional<BoxSize> next() override {
     if (pending_) {

@@ -97,6 +97,17 @@ void WorstCaseSource::skip_repeats(std::uint64_t m) {
   top.child += m;
 }
 
+bool WorstCaseSource::enter_repeat() {
+  // A size-b node's children are single boxes that next_run() delivers as
+  // one native run; there is nothing nested to step into.
+  if (stack_.empty()) return false;
+  Frame& top = stack_.back();
+  if (top.size <= b_ || top.child >= a_) return false;
+  ++top.child;
+  stack_.push_back({top.size / b_, 0});
+  return true;
+}
+
 OrderPerturbedWorstCaseSource::OrderPerturbedWorstCaseSource(std::uint64_t a,
                                                              std::uint64_t b,
                                                              BoxSize n,

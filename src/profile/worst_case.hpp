@@ -37,9 +37,12 @@ class WorstCaseSource final : public BoxSource {
   /// pending children, the upcoming stream is (a - child) identical
   /// copies of M_{a,b}(m/b) — repeats of exactly |M(m/b)| boxes each.
   /// skip_repeats(m) is O(1): it bumps the node's child counter.
+  /// enter_repeat() descends into the node's next child when that child
+  /// has children of its own (size > b), exactly as next_run() would.
   bool provides_blocks() const override { return true; }
   std::optional<SubtreeBlock> peek_block() override;
   void skip_repeats(std::uint64_t m) override;
+  bool enter_repeat() override;
 
  private:
   struct Frame {

@@ -20,7 +20,9 @@
 #include <utility>
 #include <vector>
 
+#include "engine/analytic.hpp"
 #include "engine/exec.hpp"
+#include "engine/montecarlo.hpp"
 #include "engine/reference.hpp"
 #include "model/regular.hpp"
 #include "obs/recorder.hpp"
@@ -161,6 +163,45 @@ std::vector<model::RegularParams> shapes() {
   return {p1, p2, p3};
 }
 
+void expect_same_result(const RunResult& bulk, const RunResult& ref,
+                        const std::string& label) {
+  EXPECT_EQ(bulk.completed, ref.completed) << label;
+  EXPECT_EQ(bulk.stop, ref.stop) << label;
+  EXPECT_EQ(bulk.boxes, ref.boxes) << label;
+  EXPECT_EQ(bulk.leaves, ref.leaves) << label;
+  EXPECT_EQ(bulk.sum_bounded_potential, ref.sum_bounded_potential) << label;
+  EXPECT_EQ(bulk.ratio, ref.ratio) << label;
+  EXPECT_EQ(bulk.unit_ratio, ref.unit_ratio) << label;
+}
+
+// Every aggregate counter of a kRuns recorder — including the
+// per-size-class tallies and branch counts — equals per-box recording's.
+void expect_same_counters(const obs::ExecRecorder& runs_rec,
+                          const obs::ExecRecorder& box_rec,
+                          const std::string& label) {
+  EXPECT_EQ(runs_rec.boxes(), box_rec.boxes()) << label;
+  EXPECT_EQ(runs_rec.sum_box_sizes(), box_rec.sum_box_sizes()) << label;
+  EXPECT_EQ(runs_rec.total_progress(), box_rec.total_progress()) << label;
+  EXPECT_EQ(runs_rec.total_scan_advance(), box_rec.total_scan_advance())
+      << label;
+  EXPECT_EQ(runs_rec.completions(), box_rec.completions()) << label;
+  for (const obs::ExecBranch branch :
+       {obs::ExecBranch::kCompleteJump, obs::ExecBranch::kScanAdvance,
+        obs::ExecBranch::kBudgeted}) {
+    EXPECT_EQ(runs_rec.branch_count(branch), box_rec.branch_count(branch))
+        << label;
+  }
+  for (std::size_t cls = 0; cls < 64; ++cls) {
+    const auto& a = runs_rec.size_classes()[cls];
+    const auto& b = box_rec.size_classes()[cls];
+    EXPECT_EQ(a.boxes, b.boxes) << label << " class " << cls;
+    EXPECT_EQ(a.sum_box, b.sum_box) << label << " class " << cls;
+    EXPECT_EQ(a.progress, b.progress) << label << " class " << cls;
+    EXPECT_EQ(a.scan_advance, b.scan_advance) << label << " class " << cls;
+    EXPECT_EQ(a.completions, b.completions) << label << " class " << cls;
+  }
+}
+
 // The full differential matrix: every RunResult field must be EXACTLY
 // equal between the bulk driver and the per-box reference loop — shapes x
 // placements x semantics x sources x box caps (caps chosen to land
@@ -190,20 +231,12 @@ TEST(BulkDifferential, BitIdenticalToPerBoxEverywhere) {
             RunOptions ref_options;
             ref_options.max_boxes = cap;
             ref_options.per_box = true;
-            const RunResult bulk =
+            expect_same_result(
                 run_regular(p, n, *bulk_source, placement,
-                            /*adversary_seed=*/5, semantics, bulk_options);
-            const RunResult ref =
+                            /*adversary_seed=*/5, semantics, bulk_options),
                 run_regular(p, n, *ref_source, placement,
-                            /*adversary_seed=*/5, semantics, ref_options);
-            EXPECT_EQ(bulk.completed, ref.completed) << label;
-            EXPECT_EQ(bulk.stop, ref.stop) << label;
-            EXPECT_EQ(bulk.boxes, ref.boxes) << label;
-            EXPECT_EQ(bulk.leaves, ref.leaves) << label;
-            EXPECT_EQ(bulk.sum_bounded_potential, ref.sum_bounded_potential)
-                << label;
-            EXPECT_EQ(bulk.ratio, ref.ratio) << label;
-            EXPECT_EQ(bulk.unit_ratio, ref.unit_ratio) << label;
+                            /*adversary_seed=*/5, semantics, ref_options),
+                label);
           }
         }
       }
@@ -269,33 +302,198 @@ TEST(BulkRecorder, KRunsCountersExactlyMatchPerBox) {
       run_to_completion(box_exec, box_source, box_options);
 
       const std::string label = p.name();
-      EXPECT_EQ(runs_rec.boxes(), box_rec.boxes()) << label;
-      EXPECT_EQ(runs_rec.sum_box_sizes(), box_rec.sum_box_sizes()) << label;
-      EXPECT_EQ(runs_rec.total_progress(), box_rec.total_progress()) << label;
-      EXPECT_EQ(runs_rec.total_scan_advance(), box_rec.total_scan_advance())
-          << label;
-      EXPECT_EQ(runs_rec.completions(), box_rec.completions()) << label;
-      for (const obs::ExecBranch branch :
-           {obs::ExecBranch::kCompleteJump, obs::ExecBranch::kScanAdvance,
-            obs::ExecBranch::kBudgeted}) {
-        EXPECT_EQ(runs_rec.branch_count(branch), box_rec.branch_count(branch))
-            << label;
-      }
-      for (std::size_t cls = 0; cls < 64; ++cls) {
-        const auto& a = runs_rec.size_classes()[cls];
-        const auto& b = box_rec.size_classes()[cls];
-        EXPECT_EQ(a.boxes, b.boxes) << label << " class " << cls;
-        EXPECT_EQ(a.sum_box, b.sum_box) << label << " class " << cls;
-        EXPECT_EQ(a.progress, b.progress) << label << " class " << cls;
-        EXPECT_EQ(a.scan_advance, b.scan_advance)
-            << label << " class " << cls;
-        EXPECT_EQ(a.completions, b.completions) << label << " class " << cls;
-      }
+      expect_same_counters(runs_rec, box_rec, label);
       // Conservation holds through the bulk path too.
       EXPECT_EQ(runs_rec.total_progress() + runs_rec.total_scan_advance(),
                 runs_exec.total_units())
           << label;
     }
+  }
+}
+
+// Constant streams (docs/PERF.md, "Constant streams"): under optimistic
+// semantics a point-mass run retires whole fresh subproblems at once.
+// Sizes below, at, just above and far above a power of b; n = b^6 or
+// more so the retired subtrees span several levels; caps that land
+// mid-subtree. Budgeted runs keep the period-probe path and are checked
+// the same way.
+TEST(PointMassDifferential, SubtreeRetirementBitIdenticalToPerBox) {
+  for (const model::RegularParams& p : shapes()) {
+    const std::uint64_t n = util::ipow(p.b, p.b == 2 ? 9u : 6u);
+    for (const profile::BoxSize size : {1u, 3u, 16u, 17u, 64u}) {
+      auto dist = std::make_shared<profile::PointMass>(size);
+      for (const ScanPlacement placement :
+           {ScanPlacement::kEnd, ScanPlacement::kInterleaved,
+            ScanPlacement::kAdversaryMatched}) {
+        for (const BoxSemantics semantics :
+             {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+          for (const std::uint64_t cap :
+               {std::uint64_t{37}, std::uint64_t{1001},
+                std::uint64_t{77777}, UINT64_C(1) << 40}) {
+            const std::string label =
+                p.name() + " point:" + std::to_string(size) + " placement=" +
+                std::to_string(static_cast<int>(placement)) + " semantics=" +
+                std::to_string(static_cast<int>(semantics)) +
+                " cap=" + std::to_string(cap);
+            OwningDistSource bulk_source(dist, 3);
+            OwningDistSource ref_source(dist, 3);
+            RunOptions bulk_options;
+            bulk_options.max_boxes = cap;
+            RunOptions ref_options = bulk_options;
+            ref_options.per_box = true;
+            expect_same_result(
+                run_regular(p, n, bulk_source, placement,
+                            /*adversary_seed=*/5, semantics, bulk_options),
+                run_regular(p, n, ref_source, placement,
+                            /*adversary_seed=*/5, semantics, ref_options),
+                label);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The run-level report of a subtree retirement — progress and the largest
+// problem completed, including the cascade past the retired subtree —
+// equals the brute-force oracle's, whatever the run lengths.
+TEST(PointMassDifferential, RunReportsMatchReferenceOracle) {
+  util::Rng rng(2718);
+  for (const model::RegularParams& p : shapes()) {
+    const std::uint64_t n = util::ipow(p.b, p.b == 2 ? 8u : 5u);
+    for (const profile::BoxSize size : {1u, 3u, 16u, 17u, 64u}) {
+      for (const ScanPlacement placement :
+           {ScanPlacement::kEnd, ScanPlacement::kInterleaved,
+            ScanPlacement::kAdversaryMatched}) {
+        RegularExecution exec(p, n, placement, 9);
+        ReferenceExecution oracle(p, n, placement, 9);
+        while (!exec.done()) {
+          const std::uint64_t count = 1 + rng.below(3000);
+          const RunReport got = exec.consume_run(size, count);
+          const RunReport want = oracle.consume_run(size, count);
+          const std::string label = p.name() + " point:" +
+                                    std::to_string(size) + " placement=" +
+                                    std::to_string(static_cast<int>(placement));
+          ASSERT_EQ(got.progress, want.progress) << label;
+          ASSERT_EQ(got.completed_problem, want.completed_problem) << label;
+          ASSERT_EQ(exec.units_done(), oracle.units_done()) << label;
+          ASSERT_EQ(exec.leaves_done(), oracle.leaves_done()) << label;
+          ASSERT_EQ(exec.done(), oracle.done()) << label;
+        }
+      }
+    }
+  }
+}
+
+// A kRuns recorder keeps point-mass runs off the subtree retirement, and
+// its totals still equal per-box recording.
+TEST(PointMassDifferential, KRunsCountersMatchPerBox) {
+  for (const model::RegularParams& p : shapes()) {
+    const std::uint64_t n = util::ipow(p.b, p.b == 2 ? 8u : 5u);
+    for (const profile::BoxSize size : {1u, 3u, 16u, 17u, 64u}) {
+      auto dist = std::make_shared<profile::PointMass>(size);
+      for (const BoxSemantics semantics :
+           {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+        obs::ExecRecorder runs_rec(nullptr, obs::BoxGranularity::kRuns);
+        OwningDistSource runs_source(dist, 1);
+        RunOptions runs_options;
+        runs_options.recorder = &runs_rec;
+        RegularExecution runs_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+        run_to_completion(runs_exec, runs_source, runs_options);
+
+        obs::ExecRecorder box_rec(nullptr);
+        OwningDistSource box_source(dist, 1);
+        RunOptions box_options;
+        box_options.recorder = &box_rec;
+        box_options.per_box = true;
+        RegularExecution box_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+        run_to_completion(box_exec, box_source, box_options);
+
+        expect_same_counters(
+            runs_rec, box_rec,
+            p.name() + " point:" + std::to_string(size) + " semantics=" +
+                std::to_string(static_cast<int>(semantics)));
+      }
+    }
+  }
+}
+
+// Lemma 3's f(n) as an independent oracle where per-box runs are out of
+// reach (k = 12 of 8:4:1 is ~2.1e9 boxes): for a point mass the
+// recurrence is exact integer arithmetic in doubles, and every
+// Monte-Carlo trial must consume exactly f(n) boxes.
+TEST(LemmaThreeOracle, PointMassBoxesEqualAnalyticF) {
+  struct Case {
+    model::RegularParams p;
+    profile::BoxSize size;
+  };
+  for (const Case& c : {Case{{8, 4, 1.0}, 16}, Case{{4, 2, 1.0}, 16},
+                        Case{{3, 2, 1.0}, 5}}) {
+    const profile::PointMass point(c.size);
+    const AnalyticSolver solver(c.p, point);
+    const std::vector<AnalyticLevel> levels =
+        solver.solve(util::ipow(c.p.b, 12u));
+    ASSERT_EQ(levels.size(), 13u);
+    for (unsigned k = 1; k <= 12; ++k) {
+      const std::uint64_t n = util::ipow(c.p.b, k);
+      McOptions options;
+      options.trials = 3;
+      options.seed = k;
+      const McSummary summary = run_monte_carlo_iid(c.p, n, point, options);
+      const std::string label =
+          c.p.name() + " point:" + std::to_string(c.size) + " k=" +
+          std::to_string(k);
+      ASSERT_EQ(levels[k].n, n) << label;
+      EXPECT_EQ(summary.ratio.count(), 3u) << label;
+      EXPECT_EQ(summary.boxes.min(), levels[k].f) << label;
+      EXPECT_EQ(summary.boxes.max(), levels[k].f) << label;
+    }
+  }
+}
+
+// A probe opens at the first repeat of every recursion node, not only at
+// the node on top of the source stack, so each node runs two children
+// literally (the first, probed, and the last) and replays the rest:
+// (4,4,1) at n = 4^8 emits 2^8 - 1 bulk events, where probing the top
+// node only emitted 3^7 = 2187.
+TEST(SourceBlocks, WorstCaseProbesEveryNode) {
+  model::RegularParams p;
+  p.a = 4, p.b = 4, p.c = 1.0;
+  const std::uint64_t n = util::ipow(p.b, 8u);
+  obs::MemorySink sink;
+  obs::ExecRecorder recorder(&sink, obs::BoxGranularity::kRuns);
+  profile::WorstCaseSource source(p.a, p.b, n);
+  RunOptions options;
+  options.recorder = &recorder;
+  RegularExecution exec(p, n);
+  const RunResult result = run_to_completion(exec, source, options);
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.boxes, profile::worst_case_box_count(p.a, p.b, n));
+  const auto bulk = std::count_if(
+      sink.events().begin(), sink.events().end(),
+      [](const obs::Event& e) { return e.type == "bulk"; });
+  EXPECT_LE(bulk, 1 << 8);
+  EXPECT_GT(bulk, 0);
+}
+
+// enter_repeat steps into a repeat without consuming a box: a source that
+// steps in wherever it can still delivers its plain stream.
+TEST(SourceBlocks, EnterRepeatLeavesTheStreamUnchanged) {
+  for (const std::uint64_t b : {2u, 4u}) {
+    const std::uint64_t a = 3, n = util::ipow(b, 5u);
+    profile::WorstCaseSource plain(a, b, n);
+    const std::vector<profile::BoxSize> want = profile::materialize(plain);
+    profile::WorstCaseSource entered(a, b, n);
+    std::vector<profile::BoxSize> got;
+    std::uint64_t steps = 0;
+    while (true) {
+      while (entered.enter_repeat()) ++steps;
+      const auto run = entered.next_run();
+      if (!run) break;
+      got.insert(got.end(), run->count, run->size);
+    }
+    EXPECT_EQ(got, want) << "b=" << b;
+    EXPECT_GT(steps, 0u) << "b=" << b;
   }
 }
 
@@ -413,7 +611,8 @@ TEST(SourceRuns, RunExpansionReproducesNextStream) {
         break;
       }
       ASSERT_GE(run->count, 1u) << source_case.name;
-      for (std::uint64_t i = 0; i < run->count; ++i) {
+      // A point-mass run spans 2^40 boxes: stop at the budget mid-run.
+      for (std::uint64_t i = 0; i < run->count && compared < 5000; ++i) {
         const auto box = box_side->next();
         ASSERT_TRUE(box.has_value()) << source_case.name;
         EXPECT_EQ(*box, run->size)

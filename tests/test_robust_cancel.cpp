@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "engine/montecarlo.hpp"
+#include "profile/distributions.hpp"
 #include "robust/backoff.hpp"
 #include "robust/checkpoint.hpp"
 #include "util/check.hpp"
+#include "util/math.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cadapt::robust {
@@ -280,6 +282,38 @@ TEST(CancelMc, StuckTrialIsTerminatedByTheWatchdog) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5000);
+}
+
+TEST(CancelMc, PointMassTrialStopsWithinTwiceTheDeadline) {
+  // A point-mass stream arrives as one run that can span the whole
+  // execution, so run_to_completion's per-run poll alone would not fire
+  // until the trial ends. Budgeted semantics keep the run on the literal
+  // stepping path (no subtree retirement): (8,4,1) at n = 4^12 then takes
+  // far longer than the deadline, and consume_run's per-step poll must
+  // stop it within twice the deadline.
+  constexpr std::uint64_t kDeadlineNs = 200'000'000;  // 200ms
+  CancelToken token;
+  Watchdog watchdog(token, kDeadlineNs);
+  const profile::PointMass point(16);
+  engine::McOptions options;
+  options.trials = 1;
+  options.seed = 3;
+  options.semantics = engine::BoxSemantics::kBudgeted;
+  options.cancel = &token;
+  util::ThreadPool one(1);
+  options.pool = &one;
+
+  const auto start = std::chrono::steady_clock::now();
+  const engine::McSummary summary = engine::run_monte_carlo_iid(
+      model::RegularParams{8, 4, 1.0}, util::ipow(4, 12u), point, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_TRUE(summary.truncated);
+  EXPECT_EQ(summary.truncate_reason, CancelReason::kDeadline);
+  EXPECT_EQ(summary.trials_run, 0u);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count(),
+            static_cast<std::int64_t>(2 * kDeadlineNs));
 }
 
 // ---- Seeded backoff ----
