@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "algos/funnelsort.hpp"
 #include "algos/mm.hpp"
@@ -28,6 +30,7 @@
 #include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
 #include "sched/deque.hpp"
+#include "stats/bootstrap.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 
@@ -184,56 +187,66 @@ void BM_EngineRunPointMass(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRunPointMass)->DenseRange(8, 12);
 
-// Theorem 1's random box streams through the default bulk driver, one Arg
-// per profile of the smoothed benchmark (8:4:1, k = 6). All but `shifted`
-// run box by box, so items/sec is the random-stream path's boxes/s
-// (docs/PERF.md, "Random-stream path"). Each iteration is one trial with
-// a fresh seed.
+// Theorem 1's random box streams through run_to_completion, one trial
+// per iteration with a fresh seed: Args are (profile, k, per_box) with
+// profile indexing the smoothed benchmark's profiles on 8:4:1. By default
+// `shifted` (a block source) takes the run path and every other profile
+// the batch path; per_box = 1 forces the reference
+// loop, so items/sec of the pair is the batch path's boxes/s against the
+// reference's (docs/PERF.md, "Batch path"). k = 5 matches perfbench's
+// longest smoothed cell, perturb:4@5.
 void BM_EngineRunSmoothed(benchmark::State& state) {
   const model::RegularParams p{8, 4, 1.0};
-  const std::uint64_t n = util::ipow(4, 6);
+  const std::uint64_t n = util::ipow(4, static_cast<unsigned>(state.range(1)));
   engine::TrialSourceFactory make_source;
+  std::string label;
   switch (state.range(0)) {
     case 0:
-      state.SetLabel("perturb:4");
+      label = "perturb:4";
       make_source =
           core::size_perturb_source(p, n, profile::uniform_real_perturb(4.0));
       break;
     case 1:
-      state.SetLabel("shifted");
+      label = "shifted";
       make_source = core::cyclic_shift_source(p, n);
       break;
     case 2:
-      state.SetLabel("shuffled");
+      label = "shuffled";
       make_source = core::shuffled_census_source(p, n);
       break;
     case 3:
-      state.SetLabel("iid:geometric:6");
+      label = "iid:geometric:6";
       make_source = core::iid_source(
           std::make_shared<profile::GeometricPowers>(4, 8.0, 0, 6));
       break;
     case 4:
-      state.SetLabel("iid:uniform-range:1:64");
+      label = "iid:uniform-range:1:64";
       make_source =
           core::iid_source(std::make_shared<profile::UniformRange>(1, 64));
       break;
     default:
-      state.SetLabel("iid:bimodal:2:1024:0.03");
+      label = "iid:bimodal:2:1024:0.03";
       make_source = core::iid_source(
           std::make_shared<profile::Bimodal>(2, 1024, 0.03));
       break;
   }
+  engine::RunOptions options;
+  options.per_box = state.range(2) != 0;
+  state.SetLabel(label + (options.per_box ? " per-box" : ""));
   util::Rng rng(42);
   std::uint64_t boxes = 0;
   for (auto _ : state) {
     auto source = make_source(rng);
     engine::RegularExecution exec(p, n);
-    engine::run_to_completion(exec, *source);
+    engine::run_to_completion(exec, *source, options);
     boxes += exec.boxes_consumed();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
 }
-BENCHMARK(BM_EngineRunSmoothed)->DenseRange(0, 5);
+BENCHMARK(BM_EngineRunSmoothed)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 5, 1), {6}, {0, 1}})
+    ->Args({0, 5, 0})
+    ->Args({0, 5, 1});
 
 void BM_WorstCaseGeneration(benchmark::State& state) {
   const auto k = static_cast<unsigned>(state.range(0));
@@ -557,6 +570,22 @@ void BM_AnalyticSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(solver.solve(util::ipow(4, k)).back().f);
 }
 BENCHMARK(BM_AnalyticSolve)->Arg(6)->Arg(8);
+
+// Per-cell aggregation's dominant cost (campaign::aggregate_cell): the
+// percentile-bootstrap CI of an n-sample cell at the sweep's defaults
+// (2000 resamples, 95%). Arg = n; serve jobs are 16-trial cells,
+// perfbench's programs cells 3-trial ones.
+void BM_BootstrapCi(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(5);
+  std::vector<double> samples(n);
+  for (double& x : samples) x = 1.0 + rng.uniform01();
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::bootstrap_mean_ci(samples, {}, ++seed));
+  }
+}
+BENCHMARK(BM_BootstrapCi)->Arg(3)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

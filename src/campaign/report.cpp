@@ -160,9 +160,11 @@ CellResult aggregate_cell(const Cell& cell,
     result.mean = ci.point;
     result.ci_lo = ci.lo;
     result.ci_hi = ci.hi;
-    result.q50 = stats::exact_quantile(result.samples, 0.50);
-    result.q90 = stats::exact_quantile(result.samples, 0.90);
-    result.q95 = stats::exact_quantile(result.samples, 0.95);
+    std::vector<double> sorted = result.samples;
+    std::sort(sorted.begin(), sorted.end());
+    result.q50 = stats::sorted_quantile(sorted, 0.50);
+    result.q90 = stats::sorted_quantile(sorted, 0.90);
+    result.q95 = stats::sorted_quantile(sorted, 0.95);
   }
   return result;
 }

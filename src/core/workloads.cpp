@@ -46,8 +46,7 @@ engine::TrialSourceFactory shuffled_census_source(model::RegularParams params,
 engine::TrialSourceFactory size_perturb_source(
     model::RegularParams params, std::uint64_t n,
     profile::PerturbSampler sampler) {
-  CADAPT_CHECK(sampler != nullptr);
-  return [params, n, sampler = std::move(sampler)](
+  return [params, n, sampler](
              util::Rng& rng) -> std::unique_ptr<profile::BoxSource> {
     // Perturbation factors are drawn per box from `sampler`; the profile
     // repeats cyclically (with fresh perturbations each cycle) so the

@@ -1,6 +1,7 @@
 #include "engine/exec.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/recorder.hpp"
 #include "profile/worst_case.hpp"
@@ -99,10 +100,14 @@ std::uint64_t RegularExecution::normalize() {
     Frame& f = stack_.back();
     if (f.size == 1) break;  // pending base case
     if (f.phase % 2 == 0) {
-      // Descend into child phase/2.
-      const std::uint64_t child_index = f.phase / 2;
-      stack_.push_back({f.size / params_.b, f.level - 1, 0, 0,
-                        util::hash_combine(f.node_hash, child_index)});
+      // Descend into child phase/2. Path hashes only steer
+      // kAdversaryMatched; every other placement leaves them 0 and skips
+      // the per-descent hash.
+      const std::uint64_t child_hash =
+          placement_ == ScanPlacement::kAdversaryMatched
+              ? util::hash_combine(f.node_hash, f.phase / 2)
+              : 0;
+      stack_.push_back({f.size / params_.b, f.level - 1, 0, 0, child_hash});
       continue;
     }
     // Odd phase: scan chunk (phase - 1) / 2.
@@ -544,6 +549,50 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
       }
       acc.add_box(*box);
       exec.consume_box(*box);
+    }
+  } else if (source.provides_batches() && !source.provides_blocks()) {
+    // Batch path (docs/PERF.md, "Batch path"): the stream's runs are too
+    // short to pay for a virtual next_run(), a lookahead compare and a
+    // failed period probe each, so it arrives kBatchBoxes at a time. Each
+    // maximal stretch of equal boxes long enough to gain goes through
+    // consume_run (subtree retirement and in-scan arithmetic still serve
+    // long runs of small boxes); the rest go box by box, exactly as the
+    // reference loop feeds them.
+    constexpr std::size_t kBatchBoxes = 256;
+    constexpr std::size_t kMinStretch = 4;
+    std::array<profile::BoxSize, kBatchBoxes> batch;
+    while (!exec.done()) {
+      if (cancel != nullptr) cancel->poll();
+      if (exec.boxes_consumed() >= max_boxes) {
+        result.stop = StopReason::kBoxCapHit;
+        break;
+      }
+      const std::size_t filled = source.next_batch(batch);
+      if (filled == 0) {
+        result.stop = StopReason::kSourceExhausted;
+        break;
+      }
+      // Every box delivered is consumed until the execution completes, so
+      // the cap is a bound on the batch position: a capped trial stops on
+      // the same box as the reference loop.
+      const std::size_t len = static_cast<std::size_t>(std::min<std::uint64_t>(
+          filled, max_boxes - exec.boxes_consumed()));
+      for (std::size_t i = 0; i < len && !exec.done();) {
+        const profile::BoxSize s = batch[i];
+        std::size_t j = i + 1;
+        while (j < len && batch[j] == s) ++j;
+        if (j - i >= kMinStretch) {
+          const std::uint64_t before = exec.boxes_consumed();
+          exec.consume_run(s, j - i, cancel);
+          acc.add_boxes(s, exec.boxes_consumed() - before);
+          i = j;
+          continue;
+        }
+        for (; i < j && !exec.done(); ++i) {
+          acc.add_box(s);
+          exec.consume_box(s);
+        }
+      }
     }
   } else {
     std::vector<BlockProbe> probes;

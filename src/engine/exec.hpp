@@ -184,7 +184,7 @@ class RegularExecution {
     std::uint64_t level;        // log_b size: index into the per-level tables
     std::uint64_t phase;        // 0..2a-1: even 2i = in child i, odd 2i+1 = in scan chunk i
     std::uint64_t scan_offset;  // progress within the current scan chunk
-    std::uint64_t node_hash;    // path hash (used by kAdversaryMatched)
+    std::uint64_t node_hash;    // path hash (kAdversaryMatched only; else 0)
   };
 
   /// Fill `out` with the stack snapshot signature() returns, reusing its

@@ -37,17 +37,72 @@ inline bool exactly_bulk_addable(double sum, double x, std::uint64_t count) {
   return fin <= static_cast<long double>(kExactIntegerLimit);
 }
 
+/// `count` literal additions `sum += x` in O(binades crossed) instead of
+/// O(count), bit-identically (docs/PERF.md, "Exact repeated addition").
+///
+/// Inside one binade every double is a multiple of the binade's ulp u, and
+/// a sum that stays below the binade's top is rounded on that grid, so
+/// fl(s + x) = s + g·u where g depends only on x/u — except at an exact
+/// half-ulp tie, where round-half-even also looks at the parity of s/u:
+/// the step alternates between two candidate increments by that parity.
+/// A tie step always lands on an even multiple, and from an even multiple
+/// every tie rounds the same way, so from the first literal step on the
+/// increment d is fixed. Two literal steps measure d, the rest of the
+/// binade is one closed-form jump, and the next literal step crosses into
+/// the next binade. A sum starting below 2^53 crosses at most ~64
+/// binades, whatever the count. Subnormals and the lowest normal binade
+/// share u = 2^-1074; there every addition is exact. Operands outside
+/// [0, inf) take the literal loop.
+inline double repeated_add(double sum, double x, std::uint64_t count) {
+  if (!(sum >= 0.0) || !(x >= 0.0) || !std::isfinite(sum) ||
+      !std::isfinite(x)) {
+    for (std::uint64_t i = 0; i < count; ++i) sum += x;
+    return sum;
+  }
+  if (count == 0) return sum;
+  if (x == 0.0) return sum + x;  // idempotent after the first addition
+  constexpr double kMantissaSpan = 0x1p53;  // top / u of every binade
+  while (count > 0) {
+    if (!std::isfinite(sum)) return sum;  // overflowed: stays infinite
+    const double u = sum < 0x1p-1021 ? 0x1p-1074
+                                     : std::ldexp(1.0, std::ilogb(sum) - 52);
+    const double top = u * kMantissaSpan;  // +inf in the highest binade
+    const double s1 = sum + x;
+    if (--count == 0) return s1;
+    if (!(s1 < top)) {  // crossed into the next binade
+      sum = s1;
+      continue;
+    }
+    const double s2 = s1 + x;
+    if (--count == 0) return s2;
+    if (!(s2 < top)) {
+      sum = s2;
+      continue;
+    }
+    const double d = s2 - s1;  // exact: both lie on the binade's grid
+    if (d == 0.0) return s2;   // x is absorbed from here on
+    const auto k2 = static_cast<std::uint64_t>(s2 / u);
+    const auto dk = static_cast<std::uint64_t>(d / u);
+    // Every further step that stays strictly below top adds exactly d.
+    const std::uint64_t room =
+        (static_cast<std::uint64_t>(kMantissaSpan) - 1 - k2) / dk;
+    const std::uint64_t j = std::min(count, room);
+    sum = static_cast<double>(k2 + j * dk) * u;
+    count -= j;
+  }
+  return sum;
+}
+
 /// Add `count` copies of x to sum, bit-identically to a repeated-add
-/// loop: the closed form is used when provably exact, otherwise the
-/// literal loop runs (identical operation sequence either way). A single
-/// copy is the literal addition itself and needs no exactness test.
+/// loop: one multiply when provably exact (an all-integer window below
+/// 2^53), binade stepping (repeated_add) otherwise. A single copy is the
+/// literal addition itself.
 inline double bulk_add(double sum, double x, std::uint64_t count) {
   if (count == 1) return sum + x;
   if (exactly_bulk_addable(sum, x, count)) {
     return sum + static_cast<double>(count) * x;
   }
-  for (std::uint64_t i = 0; i < count; ++i) sum += x;
-  return sum;
+  return repeated_add(sum, x, count);
 }
 
 /// True iff `current + m * (current - before)` is bit-identical to
@@ -165,7 +220,7 @@ class AdaptivityAccumulator {
   }
 
   /// Bulk add of `count` equal boxes — bit-identical to `count` add_box
-  /// calls (closed form when provably exact, literal loop otherwise).
+  /// calls, in O(1) for integer potentials and O(binades) otherwise.
   void add_boxes(profile::BoxSize s, std::uint64_t count) {
     const BoundedPotentials::Entry e = potentials_.at(s);
     all_integer_ = all_integer_ && std::floor(e.rho) == e.rho;

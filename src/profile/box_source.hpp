@@ -5,14 +5,19 @@
 // so the execution engine consumes boxes through this single-pass stream
 // interface instead of materialized vectors.
 //
-// Beyond the one-box next(), the stream exposes two batched views the
-// engine's O(runs) bulk path consumes (docs/PERF.md):
+// Beyond the one-box next(), the stream exposes three batched views the
+// engine's bulk and batch paths consume (docs/PERF.md):
 //
 //  * next_run() — a maximal run of equal-size boxes. Expanding every run
 //    back into `count` single boxes MUST reproduce the next() stream
 //    exactly; the default implementation simply wraps next() in runs of
 //    one. Sources whose streams are naturally run-length-compressed
 //    (WorstCaseSource, small-support distributions) override it.
+//  * next_batch() — the next boxes in bulk, for streams whose runs are too
+//    short to pay for run detection (Theorem 1's perturbed and i.i.d.
+//    streams). Concatenated batches MUST reproduce the next() stream
+//    exactly; provides_batches() tells the engine a source fills batches
+//    natively (docs/PERF.md, "Batch path").
 //  * peek_block()/skip_repeats() — the structural hook for self-similar
 //    profiles: a block announces that the upcoming boxes are `repeats`
 //    IDENTICAL copies of the same `boxes_per_repeat`-box sequence (the a
@@ -23,7 +28,7 @@
 //    the blocks nested inside it (the a copies of M(n/b^2) inside the
 //    first M(n/b), and so on down) are announced too.
 //
-// A caller that consumes runs/blocks may leave the source a few boxes
+// A caller that consumes runs/blocks/batches may leave the source a few boxes
 // ahead of where a per-box caller would have (a run drawn but only partly
 // consumed); the VALUES delivered are identical, only the source's
 // internal read-ahead differs.
@@ -34,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -72,6 +78,25 @@ class BoxSource {
     if (!box) return std::nullopt;
     return BoxRun{*box, 1};
   }
+
+  /// Fill a prefix of `out` with the next boxes and return its length; 0
+  /// means exhausted (`out` must be non-empty). Contract: concatenating
+  /// successive batches yields exactly the next() stream. The default
+  /// loops next(); overrides fill the span in one tight loop.
+  virtual std::size_t next_batch(std::span<BoxSize> out) {
+    std::size_t filled = 0;
+    while (filled < out.size()) {
+      const auto box = next();
+      if (!box) break;
+      out[filled++] = *box;
+    }
+    return filled;
+  }
+
+  /// Cheap capability probe: true iff next_batch() is a native bulk fill
+  /// worth more than next_run() — the stream's runs are short, so the
+  /// engine consumes it batch by batch instead of run by run.
+  virtual bool provides_batches() const { return false; }
 
   /// Cheap capability probe: true iff peek_block() can ever return a
   /// value. Lets drivers skip the per-position peek on sources without
@@ -157,10 +182,11 @@ class CyclingSource final : public BoxSource {
     return box;
   }
 
-  // Runs and blocks forward to the current inner instance: the worst-case
-  // E2 cells reach the engine through worst_profile_source's
+  // Runs, batches and blocks forward to the current inner instance: the
+  // worst-case E2 cells reach the engine through worst_profile_source's
   // CyclingSource-of-WorstCaseSource, so this forwarding is what puts
-  // them on the bulk path. Blocks never span a cycle boundary (the inner
+  // them on the bulk path (and size_perturb_source's perturbed cycles on
+  // the batch path). Blocks never span a cycle boundary (the inner
   // profile's own boxes end each repeat), so forwarding stays sound.
   std::optional<BoxRun> next_run() override {
     auto run = inner_->next_run();
@@ -170,6 +196,18 @@ class CyclingSource final : public BoxSource {
       if (!run) return std::nullopt;  // inner profile is empty
     }
     return run;
+  }
+
+  std::size_t next_batch(std::span<BoxSize> out) override {
+    std::size_t filled = inner_->next_batch(out);
+    if (filled == 0) {
+      inner_ = factory_();
+      filled = inner_->next_batch(out);  // 0: the inner profile is empty
+    }
+    return filled;
+  }
+  bool provides_batches() const override {
+    return inner_->provides_batches();
   }
 
   bool provides_blocks() const override { return inner_->provides_blocks(); }

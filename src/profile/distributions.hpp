@@ -158,6 +158,11 @@ class Empirical final : public BoxDistribution {
 /// cap, so one run can cover a whole execution and the engine retires
 /// whole subproblems from it (docs/PERF.md, "Constant streams"); callers
 /// that expand runs box by box must bound the expansion themselves.
+///
+/// Batches: a non-point-mass stream's runs are short (a few boxes), so it
+/// announces provides_batches() and next_batch() samples straight into the
+/// caller's span — one draw per box, no lookahead (docs/PERF.md, "Batch
+/// path"). A point mass keeps its long runs instead.
 class DistributionSource final : public BoxSource {
  public:
   DistributionSource(const BoxDistribution& dist, util::Rng rng)
@@ -195,6 +200,20 @@ class DistributionSource final : public BoxSource {
     }
     return BoxRun{head, count};
   }
+
+  std::size_t next_batch(std::span<BoxSize> out) override {
+    std::size_t filled = 0;
+    if (pending_) {
+      out[filled++] = *pending_;
+      pending_.reset();
+    }
+    for (; filled < out.size(); ++filled) {
+      out[filled] = dist_->sample_bits(rng_.bits53());
+    }
+    return filled;
+  }
+
+  bool provides_batches() const override { return !point_mass_; }
 
  private:
   // Small-support distributions can produce long runs by chance; cap the

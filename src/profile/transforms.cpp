@@ -1,7 +1,6 @@
 #include "profile/transforms.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -9,72 +8,59 @@ namespace cadapt::profile {
 
 PerturbSampler uniform_real_perturb(double t) {
   CADAPT_CHECK(t > 0.0);
-  return [t](util::Rng& rng) { return rng.uniform01() * t; };
+  return {PerturbSampler::Kind::kUniformReal, t, 0};
 }
 
 PerturbSampler uniform_int_perturb(std::uint64_t t) {
   CADAPT_CHECK(t >= 1);
-  return [t](util::Rng& rng) {
-    return static_cast<double>(rng.between(1, t));
-  };
+  return {PerturbSampler::Kind::kUniformInt, static_cast<double>(t), t};
 }
 
 PerturbSampler point_perturb(double t) {
   CADAPT_CHECK(t > 0.0);
-  return [t](util::Rng&) { return t; };
+  return {PerturbSampler::Kind::kPoint, t, 0};
 }
 
 SizePerturbSource::SizePerturbSource(std::unique_ptr<BoxSource> inner,
                                      PerturbSampler sampler, util::Rng rng)
-    : inner_(std::move(inner)), sampler_(std::move(sampler)), rng_(rng) {
+    : inner_(std::move(inner)), sampler_(sampler), rng_(rng) {
   CADAPT_CHECK(inner_ != nullptr);
-  CADAPT_CHECK(sampler_ != nullptr);
 }
 
-std::optional<BoxSize> SizePerturbSource::perturb_next() {
-  // The inner stream is pulled a native run at a time; the factors are
-  // still drawn one per inner box, in stream order.
-  if (inner_run_.count == 0) {
-    const auto run = inner_->next_run();
-    if (!run) return std::nullopt;
-    inner_run_ = *run;
-  }
-  --inner_run_.count;
-  const double factor = sampler_(rng_);
-  CADAPT_CHECK_MSG(factor >= 0.0, "perturbation factor must be >= 0");
-  const double scaled =
-      std::floor(static_cast<double>(inner_run_.size) * factor);
-  return static_cast<BoxSize>(std::max(1.0, scaled));
-}
-
-std::optional<BoxSize> SizePerturbSource::next() {
-  if (pending_) {
-    const BoxSize box = *pending_;
-    pending_.reset();
-    return box;
-  }
-  return perturb_next();
-}
-
-std::optional<BoxRun> SizePerturbSource::next_run() {
-  std::optional<BoxSize> head = pending_;
-  pending_.reset();
-  if (!head) head = perturb_next();
-  if (!head) return std::nullopt;
-  // Cap the lookahead so one call stays bounded even when the perturbed
-  // stream happens to be constant (e.g. point_perturb of a point source).
-  constexpr std::uint64_t kMaxCoalesce = UINT64_C(1) << 12;
-  std::uint64_t count = 1;
-  while (count < kMaxCoalesce) {
-    const auto box = perturb_next();
-    if (!box) break;  // inner exhausted; the run ends cleanly
-    if (*box != *head) {
-      pending_ = box;  // first box of the NEXT run
-      break;
+bool SizePerturbSource::refill() {
+  std::size_t len = 0;
+  while (len < kBuffer) {
+    if (inner_run_.count == 0) {
+      const auto run = inner_->next_run();
+      if (!run) break;
+      inner_run_ = *run;
     }
-    ++count;
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(inner_run_.count, kBuffer - len));
+    std::fill_n(buffer_.begin() + static_cast<std::ptrdiff_t>(len), take,
+                inner_run_.size);
+    inner_run_.count -= take;
+    len += take;
   }
-  return BoxRun{*head, count};
+  pos_ = 0;
+  len_ = len;
+  // One factor per inner box, in stream order. Every factor is >= 0, so
+  // the product is too and truncation is the floor; anything below 1
+  // clamps to the smallest box.
+  for (std::size_t i = 0; i < len; ++i) {
+    const double scaled = static_cast<double>(buffer_[i]) * sampler_(rng_);
+    buffer_[i] = scaled >= 1.0 ? static_cast<BoxSize>(scaled) : 1;
+  }
+  return len > 0;
+}
+
+std::size_t SizePerturbSource::next_batch(std::span<BoxSize> out) {
+  if (pos_ == len_ && !refill()) return 0;
+  const std::size_t n = std::min(out.size(), len_ - pos_);
+  std::copy_n(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
+              out.begin());
+  pos_ += n;
+  return n;
 }
 
 CyclicShiftSource::CyclicShiftSource(SourceFactory factory,

@@ -7,16 +7,54 @@
 
 namespace cadapt::stats {
 
+namespace {
+
+/// The interpolation position of quantile q among n order statistics:
+/// the lower index and the weight of the next one.
+struct QuantilePos {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+QuantilePos quantile_pos(std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+double interpolate(double lo, double hi, double frac) {
+  return lo * (1.0 - frac) + hi * frac;
+}
+
+}  // namespace
+
 double exact_quantile(std::vector<double> values, double q) {
   CADAPT_CHECK(!values.empty());
-  CADAPT_CHECK(q >= 0.0 && q <= 1.0);
   std::sort(values.begin(), values.end());
+  return sorted_quantile(values, q);
+}
+
+double sorted_quantile(std::span<const double> sorted, double q) {
+  CADAPT_CHECK(!sorted.empty());
+  CADAPT_CHECK(q >= 0.0 && q <= 1.0);
+  if (sorted.size() == 1) return sorted.front();
+  const QuantilePos at = quantile_pos(sorted.size(), q);
+  return interpolate(sorted[at.lo], sorted[at.hi], at.frac);
+}
+
+double select_quantile(std::vector<double>& values, double q) {
+  CADAPT_CHECK(!values.empty());
+  CADAPT_CHECK(q >= 0.0 && q <= 1.0);
   if (values.size() == 1) return values.front();
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  const QuantilePos at = quantile_pos(values.size(), q);
+  const auto lo = values.begin() + static_cast<std::ptrdiff_t>(at.lo);
+  std::nth_element(values.begin(), lo, values.end());
+  // Everything after the lo-th order statistic is >= it, so the next
+  // order statistic is the smallest of them.
+  const double hi =
+      at.hi == at.lo ? *lo : *std::min_element(lo + 1, values.end());
+  return interpolate(*lo, hi, at.frac);
 }
 
 P2Quantile::P2Quantile(double q) : q_(q) {

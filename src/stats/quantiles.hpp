@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace cadapt::stats {
@@ -19,6 +20,14 @@ namespace cadapt::stats {
 /// Sample quantile by linear interpolation between order statistics;
 /// q in [0, 1]. The input need not be sorted (taken by value).
 double exact_quantile(std::vector<double> values, double q);
+
+/// exact_quantile of already-sorted values, without the copy and sort:
+/// sort once, then take any number of quantiles.
+double sorted_quantile(std::span<const double> sorted, double q);
+
+/// exact_quantile by selection: the same value, in O(n) instead of a
+/// sort. Reorders `values` (any permutation of them stays valid input).
+double select_quantile(std::vector<double>& values, double q);
 
 /// P² (piecewise-parabolic) single-quantile estimator
 /// (Jain & Chlamtac, CACM 1985): tracks five markers whose heights

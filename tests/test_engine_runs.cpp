@@ -1,4 +1,5 @@
-// Differential tests for the O(runs) bulk consumption path (docs/PERF.md).
+// Differential tests for the O(runs) bulk consumption path and the batch
+// path for short-run random streams (docs/PERF.md).
 //
 // The contract under test is BIT-IDENTITY: the bulk driver — run-length
 // consumption (consume_run), arithmetic scan stretches, and closed-form
@@ -11,15 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/workloads.hpp"
 #include "engine/analytic.hpp"
 #include "engine/exec.hpp"
 #include "engine/montecarlo.hpp"
@@ -872,6 +876,321 @@ TEST(SourceRuns, CoalescingAdapterPreservesStream) {
     }
   }
   EXPECT_EQ(expanded, boxes);
+}
+
+// ---- Batch path (docs/PERF.md, "Batch path") ------------------------------
+
+struct BatchCase {
+  std::string name;
+  TrialSourceFactory make;
+  bool batched;  // expected to take the batch path
+};
+
+// Theorem 1's smoothed profiles as the campaign builds them, plus every
+// i.i.d. kind a manifest can name.
+std::vector<BatchCase> batch_cases(const model::RegularParams& p,
+                                   std::uint64_t n) {
+  const unsigned k = util::ilog(n, p.b);
+  auto iid = [](std::shared_ptr<const profile::BoxDistribution> dist) {
+    return core::iid_source(std::move(dist));
+  };
+  return {
+      {"perturb:2",
+       core::size_perturb_source(p, n, profile::uniform_real_perturb(2.0)),
+       true},
+      {"perturb:4",
+       core::size_perturb_source(p, n, profile::uniform_real_perturb(4.0)),
+       true},
+      {"perturb:8",
+       core::size_perturb_source(p, n, profile::uniform_real_perturb(8.0)),
+       true},
+      {"shuffled", core::shuffled_census_source(p, n), true},
+      {"shifted", core::cyclic_shift_source(p, n), false},
+      {"iid:geometric",
+       iid(std::make_shared<profile::GeometricPowers>(
+           p.b, static_cast<double>(p.a), 0, k)),
+       true},
+      {"iid:uniform-powers",
+       iid(std::make_shared<profile::UniformPowers>(p.b, 0, k)), true},
+      {"iid:uniform-range", iid(std::make_shared<profile::UniformRange>(1, 64)),
+       true},
+      {"iid:bimodal", iid(std::make_shared<profile::Bimodal>(2, 1024, 0.03)),
+       true},
+      {"iid:point:16", iid(std::make_shared<profile::PointMass>(16)), false},
+      {"iid:point:17", iid(std::make_shared<profile::PointMass>(17)), false},
+  };
+}
+
+struct BatchShape {
+  model::RegularParams params;
+  unsigned k;
+};
+
+std::vector<BatchShape> batch_shapes() {
+  return {{{8, 4, 1.0}, 4}, {{7, 4, 1.0}, 4}, {{4, 2, 1.0}, 6},
+          {{3, 2, 1.0}, 7}};
+}
+
+RunResult run_case(const BatchShape& shape, const BatchCase& source_case,
+                   std::uint64_t seed, BoxSemantics semantics,
+                   ScanPlacement placement, RunOptions options) {
+  const std::uint64_t n = util::ipow(shape.params.b, shape.k);
+  util::Rng rng(seed);
+  auto source = source_case.make(rng);
+  return run_regular(shape.params, n, *source, placement,
+                     /*adversary_seed=*/0, semantics, options);
+}
+
+// The batch path is bit-identical to the per-box reference loop on every
+// smoothed profile, shape, semantics and placement, over several seeds —
+// and the capability probes route exactly the short-run streams to it.
+TEST(BatchDifferential, DefaultMatchesPerBoxOnSmoothedProfiles) {
+  for (const BatchShape& shape : batch_shapes()) {
+    const std::uint64_t n = util::ipow(shape.params.b, shape.k);
+    for (const BatchCase& source_case : batch_cases(shape.params, n)) {
+      util::Rng probe_rng(1);
+      const auto probe = source_case.make(probe_rng);
+      EXPECT_EQ(probe->provides_batches() && !probe->provides_blocks(),
+                source_case.batched)
+          << source_case.name;
+      for (const BoxSemantics semantics :
+           {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+        for (const ScanPlacement placement :
+             {ScanPlacement::kEnd, ScanPlacement::kInterleaved}) {
+          for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            const std::string label =
+                shape.params.name() + " " + source_case.name +
+                " semantics=" + std::to_string(static_cast<int>(semantics)) +
+                " placement=" + std::to_string(static_cast<int>(placement)) +
+                " seed=" + std::to_string(seed);
+            RunOptions ref_options;
+            ref_options.per_box = true;
+            const RunResult ref = run_case(shape, source_case, seed,
+                                           semantics, placement, ref_options);
+            EXPECT_TRUE(ref.completed) << label;
+            expect_same_result(run_case(shape, source_case, seed, semantics,
+                                        placement, RunOptions{}),
+                               ref, label);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The first `count` boxes of a case's stream, as next() delivers them.
+std::vector<profile::BoxSize> stream_prefix(const BatchCase& source_case,
+                                            std::uint64_t seed,
+                                            std::size_t count) {
+  util::Rng rng(seed);
+  auto source = source_case.make(rng);
+  std::vector<profile::BoxSize> out;
+  while (out.size() < count) out.push_back(*source->next());
+  return out;
+}
+
+// A max_boxes cap stops the batch path on the same box as the reference
+// loop, wherever it lands: on batch boundaries and either side of them,
+// and inside stretches long enough to go through consume_run.
+TEST(BatchDifferential, CapsLandMidBatchAndMidStretch) {
+  for (const BatchShape& shape : batch_shapes()) {
+    const std::uint64_t n = util::ipow(shape.params.b, shape.k);
+    for (const BatchCase& source_case : batch_cases(shape.params, n)) {
+      if (!source_case.batched) continue;
+      const std::uint64_t seed = 11;
+      std::vector<std::uint64_t> caps = {1,   2,   3,   4,   255, 256,
+                                         257, 511, 512, 513, 700};
+      // Caps one, two and three boxes into the first few stretches of
+      // four or more equal boxes.
+      const std::vector<profile::BoxSize> prefix =
+          stream_prefix(source_case, seed, 1500);
+      int stretches = 0;
+      for (std::size_t i = 0; i + 4 <= prefix.size() && stretches < 4;) {
+        std::size_t j = i + 1;
+        while (j < prefix.size() && prefix[j] == prefix[i]) ++j;
+        if (j - i >= 4) {
+          for (std::uint64_t d = 1; d <= 3; ++d) caps.push_back(i + d);
+          ++stretches;
+        }
+        i = j;
+      }
+      for (const BoxSemantics semantics :
+           {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+        for (const std::uint64_t cap : caps) {
+          const std::string label = shape.params.name() + " " +
+                                    source_case.name + " cap=" +
+                                    std::to_string(cap) + " semantics=" +
+                                    std::to_string(static_cast<int>(semantics));
+          RunOptions options;
+          options.max_boxes = cap;
+          RunOptions ref_options = options;
+          ref_options.per_box = true;
+          const RunResult ref = run_case(shape, source_case, seed, semantics,
+                                         ScanPlacement::kEnd, ref_options);
+          const RunResult got = run_case(shape, source_case, seed, semantics,
+                                         ScanPlacement::kEnd, options);
+          expect_same_result(got, ref, label);
+          if (!ref.completed) {
+            EXPECT_EQ(got.stop, StopReason::kBoxCapHit) << label;
+            EXPECT_EQ(got.boxes, cap) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// An aggregating (kRuns) recorder rides the batch path: the boxes,
+// progress and scan advance summed over its emitted box/runs/bulk events
+// equal its aggregates, which equal per-box recording's counters and
+// satisfy conservation.
+TEST(BatchRecorder, AggregatingRecorderEventSumsEqualAggregates) {
+  for (const BatchShape& shape : batch_shapes()) {
+    const std::uint64_t n = util::ipow(shape.params.b, shape.k);
+    for (const BatchCase& source_case : batch_cases(shape.params, n)) {
+      if (!source_case.batched) continue;
+      for (const BoxSemantics semantics :
+           {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+        const std::string label =
+            shape.params.name() + " " + source_case.name + " semantics=" +
+            std::to_string(static_cast<int>(semantics));
+        obs::MemorySink sink;
+        obs::ExecRecorder runs_rec(&sink, obs::BoxGranularity::kRuns);
+        RunOptions options;
+        options.recorder = &runs_rec;
+        const RunResult got = run_case(shape, source_case, 5, semantics,
+                                       ScanPlacement::kEnd, options);
+        obs::ExecRecorder box_rec(nullptr);
+        RunOptions box_options;
+        box_options.recorder = &box_rec;
+        box_options.per_box = true;
+        const RunResult ref = run_case(shape, source_case, 5, semantics,
+                                       ScanPlacement::kEnd, box_options);
+        expect_same_result(got, ref, label);
+        expect_same_counters(runs_rec, box_rec, label);
+
+        std::uint64_t boxes = 0, progress = 0, scan = 0;
+        for (const obs::Event& e : sink.events()) {
+          if (e.type == "box") {
+            boxes += 1;
+          } else if (e.type == "runs") {
+            boxes += e.u64_or("count", 0);
+          } else if (e.type == "bulk") {
+            boxes += e.u64_or("boxes", 0);
+          } else {
+            continue;
+          }
+          progress += e.u64_or("progress", 0);
+          scan += e.u64_or("scan", 0);
+        }
+        EXPECT_EQ(boxes, runs_rec.boxes()) << label;
+        EXPECT_EQ(progress, runs_rec.total_progress()) << label;
+        EXPECT_EQ(scan, runs_rec.total_scan_advance()) << label;
+        EXPECT_EQ(runs_rec.boxes(), got.boxes) << label;
+        EXPECT_EQ(runs_rec.total_progress(), got.leaves) << label;
+        EXPECT_EQ(progress + scan, model::problem_units(shape.params, n))
+            << label;
+      }
+    }
+  }
+}
+
+// Drains `batched` through next_batch in chunks of random sizes (mixing
+// in single next() calls) and `plain` through next(), and checks the two
+// streams agree box for box for `count` boxes or until both exhaust.
+void expect_batches_reproduce_next(profile::BoxSource& batched,
+                                   profile::BoxSource& plain,
+                                   std::size_t count, std::uint64_t seed,
+                                   const std::string& label) {
+  util::Rng rng(seed);
+  std::vector<profile::BoxSize> buffer(300);
+  std::size_t compared = 0;
+  while (compared < count) {
+    std::size_t got = 0;
+    if (rng.bernoulli(0.2)) {
+      const auto box = batched.next();
+      if (box) buffer[got++] = *box;
+    } else {
+      const std::size_t want = 1 + rng.below(buffer.size());
+      got = batched.next_batch(std::span(buffer.data(), want));
+      ASSERT_LE(got, want) << label;
+    }
+    if (got == 0) {
+      EXPECT_EQ(plain.next(), std::nullopt) << label << " at " << compared;
+      return;
+    }
+    for (std::size_t i = 0; i < got; ++i, ++compared) {
+      const auto box = plain.next();
+      ASSERT_TRUE(box.has_value()) << label << " at " << compared;
+      ASSERT_EQ(buffer[i], *box) << label << " at " << compared;
+    }
+  }
+}
+
+// Stream identity at the source layer: concatenated next_batch() results
+// (interleaved with next()) reproduce the next() stream of a twin.
+TEST(SourceBatches, NextBatchReproducesNextStream) {
+  const model::RegularParams p{8, 4, 1.0};
+  // SizePerturbSource inside CyclingSource: n = 16 wraps every few dozen
+  // boxes, so batches end at, and restart after, many wraps.
+  for (const double t : {2.0, 4.0, 8.0}) {
+    for (const std::uint64_t n : {16u, 256u}) {
+      const auto factory =
+          core::size_perturb_source(p, n, profile::uniform_real_perturb(t));
+      util::Rng rng_a(9), rng_b(9);
+      auto batched = factory(rng_a);
+      auto plain = factory(rng_b);
+      EXPECT_TRUE(batched->provides_batches());
+      expect_batches_reproduce_next(*batched, *plain, 20000, 3,
+                                    "perturb n=" + std::to_string(n));
+    }
+  }
+  // A finite perturbed stream ends with a short batch, then 0.
+  for (const auto& sampler :
+       {profile::uniform_int_perturb(3), profile::point_perturb(2.0)}) {
+    profile::SizePerturbSource batched(
+        std::make_unique<profile::WorstCaseSource>(8, 4, 64), sampler,
+        util::Rng(4));
+    profile::SizePerturbSource plain(
+        std::make_unique<profile::WorstCaseSource>(8, 4, 64), sampler,
+        util::Rng(4));
+    expect_batches_reproduce_next(batched, plain, 1u << 20, 5, "finite");
+    std::array<profile::BoxSize, 4> tail{};
+    EXPECT_EQ(batched.next_batch(tail), 0u);
+  }
+  // DistributionSource after next_run() left a looked-ahead box pending.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const profile::GeometricPowers dist(4, 8.0, 0, 3);
+    profile::DistributionSource batched(dist, util::Rng(seed));
+    profile::DistributionSource plain(dist, util::Rng(seed));
+    EXPECT_TRUE(batched.provides_batches());
+    const auto run_a = batched.next_run();
+    const auto run_b = plain.next_run();
+    ASSERT_TRUE(run_a && run_b);
+    EXPECT_EQ(run_a->size, run_b->size);
+    EXPECT_EQ(run_a->count, run_b->count);
+    expect_batches_reproduce_next(batched, plain, 5000, seed, "iid pending");
+  }
+  // A point mass: batches work, but the source keeps its long runs.
+  {
+    const profile::PointMass dist(16);
+    profile::DistributionSource batched(dist, util::Rng(7));
+    profile::DistributionSource plain(dist, util::Rng(7));
+    EXPECT_FALSE(batched.provides_batches());
+    expect_batches_reproduce_next(batched, plain, 2000, 7, "point");
+  }
+  // The default implementation loops next(), through exhaustion.
+  {
+    std::vector<profile::BoxSize> boxes(777);
+    util::Rng rng(8);
+    for (profile::BoxSize& s : boxes) s = 1 + rng.below(5);
+    profile::VectorSource batched(boxes);
+    profile::VectorSource plain(boxes);
+    EXPECT_FALSE(batched.provides_batches());
+    expect_batches_reproduce_next(batched, plain, 1u << 20, 8, "default");
+    std::array<profile::BoxSize, 4> tail{};
+    EXPECT_EQ(batched.next_batch(tail), 0u);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "model/potential.hpp"
 #include "model/regular.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace cadapt::model {
 namespace {
@@ -128,6 +132,102 @@ TEST(Potential, BulkAddOfOneIsPlainAddition) {
       EXPECT_EQ(bulk_add(sum, x, 1), sum + x);
     }
   }
+}
+
+// The reference repeated_add and bulk_add must reproduce: the literal loop.
+double literal_add(double sum, double x, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) sum += x;
+  return sum;
+}
+
+// Exact comparison of the bits (so +0/-0 and NaN payloads count too).
+void expect_same_sum(double sum, double x, std::uint64_t count) {
+  const double want = literal_add(sum, x, count);
+  const double got = repeated_add(sum, x, count);
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << std::hexfloat << "sum=" << sum << " x=" << x << " count=" << count
+      << " got=" << got << " want=" << want;
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(bulk_add(sum, x, count)),
+            std::bit_cast<std::uint64_t>(want))
+      << std::hexfloat << "bulk_add sum=" << sum << " x=" << x
+      << " count=" << count;
+}
+
+// A count spread log-uniformly over [1, 2^max_bits).
+std::uint64_t random_count(util::Rng& rng, unsigned max_bits) {
+  const unsigned bits = static_cast<unsigned>(rng.below(max_bits)) + 1;
+  return 1 + rng.below(UINT64_C(1) << bits);
+}
+
+// A double with a random 53-bit significand and the given exponent.
+double random_double(util::Rng& rng, int exponent) {
+  return std::ldexp(1.0 + rng.uniform01(), exponent);
+}
+
+// Binade stepping against the literal loop over seeded random (sum, x,
+// count): generic magnitudes, exact half-ulp ties on either parity of
+// the starting sum, addends far larger than the sum, long runs that
+// cross many binades, absorption, subnormals and the box potentials
+// the engine really adds.
+TEST(RepeatedAdd, BitIdenticalToTheLiteralLoop) {
+  util::Rng rng(20240611);
+  for (int i = 0; i < 1500; ++i) {  // generic magnitudes
+    const int e = static_cast<int>(rng.below(120)) - 60;
+    const double sum = rng.bernoulli(0.1) ? 0.0 : random_double(rng, e);
+    const double x =
+        random_double(rng, e - static_cast<int>(rng.below(70)) + 10);
+    expect_same_sum(sum, x, random_count(rng, 16));
+  }
+  for (int i = 0; i < 1500; ++i) {  // exact half-ulp ties
+    const int e = static_cast<int>(rng.below(80)) - 40;
+    const double u = std::ldexp(1.0, e - 52);
+    // k in [2^52, 2^53): both parities, and sums near the binade's top.
+    const std::uint64_t k =
+        rng.bernoulli(0.3) ? (UINT64_C(1) << 53) - 1 - rng.below(64)
+                           : (UINT64_C(1) << 52) + rng.below(UINT64_C(1) << 52);
+    const double sum = static_cast<double>(k) * u;
+    const double q = static_cast<double>(rng.below(9));
+    const double x = (q + 0.5) * u;  // exactly representable
+    expect_same_sum(sum, x, random_count(rng, 14));
+    // The next binade down too: there x is a whole number of ulps.
+    expect_same_sum(sum / 2.0, x, random_count(rng, 14));
+  }
+  for (int i = 0; i < 300; ++i) {  // x > sum, many crossings
+    const double sum = rng.bernoulli(0.5) ? 0.0 : random_double(rng, -3);
+    const double x = random_double(rng, static_cast<int>(rng.below(20)));
+    expect_same_sum(sum, x, random_count(rng, 20));
+  }
+  for (int i = 0; i < 300; ++i) {  // absorption: x at most a half ulp
+    const double sum = random_double(rng, 60);
+    const double u = std::ldexp(1.0, 60 - 52);
+    const double x = rng.bernoulli(0.5) ? u / 2.0 : u * rng.uniform01() / 2;
+    expect_same_sum(sum, x, random_count(rng, 16));
+  }
+  for (int i = 0; i < 200; ++i) {  // subnormals into the normal range
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double sum = tiny * static_cast<double>(rng.below(1 << 20));
+    const double x =
+        rng.bernoulli(0.5)
+            ? tiny * static_cast<double>(1 + rng.below(UINT64_C(1) << 52))
+            : random_double(rng, -1022 + static_cast<int>(rng.below(4)));
+    expect_same_sum(sum, x, random_count(rng, 12));
+  }
+  // The engine's case: non-integer potentials s^{log_b a} from zero.
+  for (const RegularParams& p :
+       {RegularParams{8, 4, 1.0}, RegularParams{7, 4, 1.0},
+        RegularParams{3, 2, 1.0}}) {
+    for (const std::uint64_t s : {3u, 17u, 100u, 1000u}) {
+      const double x = rho(p, s);
+      expect_same_sum(0.0, x, UINT64_C(1) << 20);
+      expect_same_sum(x / 3.0, x, 12345);
+    }
+  }
+  // Outside [0, inf): the literal loop itself.
+  expect_same_sum(-1.5, 0.25, 100);
+  expect_same_sum(1.5, -0.25, 100);
+  expect_same_sum(-0.0, 0.0, 3);
+  expect_same_sum(std::numeric_limits<double>::max(), 1e292, 1000);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // sketch tracks exact quantiles within a bound, bootstrap CIs actually
 // cover the mean at their nominal rate, and the power-law fitter
 // recovers a planted exponent.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -117,6 +118,28 @@ TEST(ExactQuantile, InterpolatesOrderStatistics) {
   EXPECT_DOUBLE_EQ(stats::exact_quantile({7.0}, 0.9), 7.0);
 }
 
+// Sort-once and selection quantiles are exact_quantile, value for value,
+// on random inputs with repeats, for every q the sweep and bootstrap use.
+TEST(ExactQuantile, SortedAndSelectAgreeWithExact) {
+  util::Rng rng(99);
+  for (int rep = 0; rep < 300; ++rep) {
+    std::vector<double> xs(1 + rng.below(rep < 50 ? 6 : 3000));
+    for (double& x : xs) {
+      x = rng.bernoulli(0.2) ? 1.5 : rng.uniform01() * 100.0;
+    }
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 0.025, 0.05, 0.5, 0.9, 0.95, 0.975, 1.0,
+                           rng.uniform01()}) {
+      const double want = stats::exact_quantile(xs, q);
+      EXPECT_EQ(stats::sorted_quantile(sorted, q), want) << rep << " " << q;
+      std::vector<double> reordered = xs;
+      EXPECT_EQ(stats::select_quantile(reordered, q), want)
+          << rep << " " << q;
+    }
+  }
+}
+
 TEST(P2Quantile, ExactBelowFiveObservations) {
   stats::P2Quantile sketch(0.5);
   sketch.add(10.0);
@@ -167,6 +190,84 @@ TEST(Bootstrap, DeterministicInSeed) {
     any_differs = c.lo != a.lo || c.hi != a.hi;
   }
   EXPECT_TRUE(any_differs);
+}
+
+// The resampling loop as it stood before the batched kernel, verbatim:
+// one Rng::below draw per index, each resample summed as it is drawn,
+// quantiles by sorting copies.
+stats::BootstrapCi reference_bootstrap_mean_ci(
+    const std::vector<double>& samples, const stats::BootstrapOptions& options,
+    std::uint64_t seed) {
+  double sum = 0.0;
+  for (const double x : samples) sum += x;
+  const double mean = sum / static_cast<double>(samples.size());
+
+  stats::BootstrapCi ci;
+  ci.point = mean;
+  if (samples.size() == 1) {
+    ci.lo = ci.hi = mean;
+    return ci;
+  }
+
+  util::Rng rng(seed);
+  std::vector<double> means;
+  means.reserve(options.resamples);
+  const std::uint64_t n = samples.size();
+  for (std::uint64_t r = 0; r < options.resamples; ++r) {
+    double resum = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) resum += samples[rng.below(n)];
+    means.push_back(resum / static_cast<double>(n));
+  }
+  const double alpha = 1.0 - options.confidence;
+  ci.lo = stats::exact_quantile(means, alpha / 2.0);
+  ci.hi = stats::exact_quantile(std::move(means), 1.0 - alpha / 2.0);
+  return ci;
+}
+
+// The batched kernel (hoisted rejection threshold, multiply-based
+// remainder, four resamples summed side by side, selection quantiles)
+// against the verbatim loop over seeded cases: sample counts 2..5000
+// (powers of two and their neighbours included), resample counts
+// 1..2000 (so partial lane groups occur), random confidence, samples
+// with repeats and spread magnitudes. Every endpoint must match exactly.
+TEST(Bootstrap, BitIdenticalToOneDrawAtATimeLoop) {
+  util::Rng rng(20240612);
+  auto check = [](const std::vector<double>& xs,
+                  const stats::BootstrapOptions& options, std::uint64_t seed) {
+    const stats::BootstrapCi want =
+        reference_bootstrap_mean_ci(xs, options, seed);
+    const stats::BootstrapCi got = stats::bootstrap_mean_ci(xs, options, seed);
+    ASSERT_EQ(got.point, want.point) << xs.size() << " seed " << seed;
+    ASSERT_EQ(got.lo, want.lo) << xs.size() << " seed " << seed;
+    ASSERT_EQ(got.hi, want.hi) << xs.size() << " seed " << seed;
+  };
+  auto samples = [&rng](std::uint64_t n) {
+    std::vector<double> xs(n);
+    const double scale = std::ldexp(1.0, static_cast<int>(rng.below(40)) - 20);
+    for (double& x : xs) {
+      x = rng.bernoulli(0.1) ? scale : scale * (1.0 + 30.0 * rng.uniform01());
+    }
+    return xs;
+  };
+  // Every small cell size at the sweep's defaults.
+  for (std::uint64_t n = 2; n <= 64; ++n) {
+    check(samples(n), {}, rng());
+  }
+  for (int rep = 0; rep < 400; ++rep) {
+    std::uint64_t n;
+    if (rep % 8 == 0) {  // a power of two or a neighbour
+      n = (UINT64_C(1) << (1 + rng.below(12))) + rng.below(3) - 1;
+    } else {  // log-uniform over 2..5000
+      n = 2 + static_cast<std::uint64_t>(
+                  std::exp(rng.uniform01() * std::log(4999.0)));
+    }
+    n = std::clamp<std::uint64_t>(n, 2, 5000);
+    stats::BootstrapOptions options;
+    options.resamples = 1 + static_cast<std::uint64_t>(
+                                std::exp(rng.uniform01() * std::log(2000.0)));
+    options.confidence = 0.01 + 0.98 * rng.uniform01();
+    check(samples(n), options, rng());
+  }
 }
 
 TEST(Bootstrap, SingleSampleCollapsesToPoint) {
