@@ -4,6 +4,7 @@
 // simulator's throughput — the experiment benches sweep tens of millions
 // of boxes.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <string>
@@ -387,53 +388,123 @@ BENCHMARK(BM_PagingReplayWalk);
 
 // Capture layer: one recording run of a real program through
 // BlockRunRecorder — what the first trial of every `trace_replay = 1`
-// cell pays before any trial can replay. Arg 0 = merge2 on 65536 keys,
-// arg 1 = mm:128 (inputs as the cell runner draws them). Items are the
-// recorded word accesses; `runs` is the stored runs per capture and
-// `bytes_per_run` the trace's storage per run (run + index + side table).
+// cell pays before any trial can replay. First arg: 0 = merge2 on 65536
+// keys, 1 = mm:128 (inputs as the cell runner draws them). Second arg:
+// 0 = cold, the thread's spare trace storage is released before each
+// capture, so the trace faults every page in (a thread's first capture);
+// 1 = warm, each capture recycles the previous one's storage (every
+// later capture on a pool thread). Items are the recorded word accesses;
+// `runs` is the stored runs per capture, `bytes_per_run` the trace's
+// storage per run (run + index + side table) and `minflt_per_capture`
+// the capturing thread's minor page faults per capture.
+// BM_PagingCaptureFloor runs the same programs against a machine that
+// records nothing: the program's own cost, which capture cannot go below.
+void run_capture_program(paging::Machine& recorder, bool mm) {
+  paging::AddressSpace space(kScanBlock);
+  util::Rng rng(42);
+  if (mm) {
+    constexpr std::size_t n = 128;
+    algos::SimMatrix<double> a(recorder, space, n, n);
+    algos::SimMatrix<double> b(recorder, space, n, n);
+    algos::SimMatrix<double> c(recorder, space, n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t col = 0; col < n; ++col) {
+        a.raw(r, col) = static_cast<double>(rng.below(64));
+        b.raw(r, col) = static_cast<double>(rng.below(64));
+      }
+    }
+    algos::MmScratch scratch(recorder, space);
+    algos::MatView<double> cv(c), av(a), bv(b);
+    algos::mm_scan(cv, av, bv, scratch);
+  } else {
+    algos::SimVector<std::int64_t> data(recorder, space,
+                                        static_cast<std::size_t>(kCellKeys));
+    for (std::size_t i = 0; i < kCellKeys; ++i) {
+      data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
+    }
+    algos::merge_sort(recorder, space, data);
+  }
+}
+
+paging::BlockRunTrace capture_program(bool mm) {
+  paging::BlockRunRecorder recorder(kScanBlock);
+  run_capture_program(recorder, mm);
+  return recorder.take();
+}
+
+/// Counts block changes and keeps nothing; repeats ride the shortcut as
+/// they do on the recorder.
+class DiscardMachine final : public paging::Machine {
+ public:
+  DiscardMachine() : Machine(kScanBlock) {}
+  std::uint64_t misses() const override { return 0; }
+  std::uint64_t changes = 0;
+
+ protected:
+  void access_cold(paging::WordAddr, paging::BlockId block) override {
+    ++changes;
+    mark_hot(block);
+  }
+};
+
+std::int64_t thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
 void BM_PagingCapture(benchmark::State& state) {
   const bool mm = state.range(0) != 0;
+  const bool warm = state.range(1) != 0;
+  paging::BlockRunTrace::release_thread_spare();
+  if (warm) (void)capture_program(mm);  // leaves its storage as the spare
   std::uint64_t accesses = 0;
   std::uint64_t runs = 0;
+  std::int64_t faults = 0;
   for (auto _ : state) {
-    paging::BlockRunRecorder recorder(kScanBlock);
-    paging::AddressSpace space(kScanBlock);
-    util::Rng rng(42);
-    if (mm) {
-      constexpr std::size_t n = 128;
-      algos::SimMatrix<double> a(recorder, space, n, n);
-      algos::SimMatrix<double> b(recorder, space, n, n);
-      algos::SimMatrix<double> c(recorder, space, n, n);
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t col = 0; col < n; ++col) {
-          a.raw(r, col) = static_cast<double>(rng.below(64));
-          b.raw(r, col) = static_cast<double>(rng.below(64));
-        }
-      }
-      algos::MmScratch scratch(recorder, space);
-      algos::MatView<double> cv(c), av(a), bv(b);
-      algos::mm_scan(cv, av, bv, scratch);
-    } else {
-      algos::SimVector<std::int64_t> data(recorder, space,
-                                          static_cast<std::size_t>(kCellKeys));
-      for (std::size_t i = 0; i < kCellKeys; ++i) {
-        data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
-      }
-      algos::merge_sort(recorder, space, data);
+    if (!warm) {
+      state.PauseTiming();
+      paging::BlockRunTrace::release_thread_spare();
+      state.ResumeTiming();
     }
-    const paging::BlockRunTrace trace = recorder.take();
+    const std::int64_t before = thread_minor_faults();
+    const paging::BlockRunTrace trace = capture_program(mm);
+    faults += thread_minor_faults() - before;
     accesses += trace.accesses();
     runs += trace.stored_runs();
   }
+  paging::BlockRunTrace::release_thread_spare();
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
   state.counters["runs"] = benchmark::Counter(
       static_cast<double>(runs), benchmark::Counter::kAvgIterations);
+  state.counters["minflt_per_capture"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
   state.counters["bytes_per_run"] =
       sizeof(paging::BlockRunTrace::PackedRun) +
       sizeof(paging::BlockRunTrace::ReplayStep);
+  state.SetLabel(std::string(mm ? "mm:128" : "merge2, 65536 keys") +
+                 (warm ? ", warm" : ", cold"));
+}
+BENCHMARK(BM_PagingCapture)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PagingCaptureFloor(benchmark::State& state) {
+  const bool mm = state.range(0) != 0;
+  std::uint64_t accesses = 0;
+  std::uint64_t changes = 0;
+  for (auto _ : state) {
+    DiscardMachine machine;
+    run_capture_program(machine, mm);
+    accesses += machine.accesses();
+    changes += machine.changes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+  state.counters["block_changes"] = benchmark::Counter(
+      static_cast<double>(changes), benchmark::Counter::kAvgIterations);
   state.SetLabel(mm ? "mm:128" : "merge2, 65536 keys");
 }
-BENCHMARK(BM_PagingCapture)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PagingCaptureFloor)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // End-to-end layer: one real-algorithm Monte-Carlo cell — funnelsort on
 // 65536 keys under i.i.d. uniform boxes, 32 trials (the E16 scale in

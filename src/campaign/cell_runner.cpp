@@ -296,6 +296,10 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
 
   // Shared across the trials of this cell (and across threads when the
   // CLI's mc mode fans trials out on a pool): the once-recorded trace.
+  // It dies with the runner, which run_cell drops on the thread that ran
+  // the cell before that thread takes its next one, so the trace's
+  // storage is that thread's spare for its next capture
+  // (paging/block_run.hpp).
   struct CaptureState {
     std::once_flag once;
     paging::BlockRunTrace trace;

@@ -6,6 +6,64 @@
 
 namespace cadapt::paging {
 
+namespace {
+
+// Each trace is 12 bytes a run, tens of MB for a real program; freeing
+// it when its cell ends and faulting as much in again for the next
+// capture cost ~2 us a page, and whether glibc kept the freed block in
+// its heap at all hung on its dynamic mmap threshold. So storage is
+// recycled per thread instead: a long-lived thread keeps one spare (the
+// largest trace it has held since the spare was last taken) until it
+// exits. Peak residency is unchanged: a recorder takes the spare, so a
+// thread holds one live trace or one spare per capture it runs.
+thread_local bool t_spare_gone = false;  // trivial: readable at thread exit
+
+struct SpareStorage {
+  PodBuffer<BlockRunTrace::PackedRun> runs;
+  PodBuffer<BlockRunTrace::ReplayStep> steps;
+  ~SpareStorage() { t_spare_gone = true; }
+};
+thread_local SpareStorage t_spare;
+
+/// Keep the larger of the spare and `buffer` as the spare; the other
+/// ends up in `buffer`, freed by its owner.
+template <class T>
+void park(PodBuffer<T>& spare, PodBuffer<T>& buffer) {
+  if (buffer.capacity() > spare.capacity()) std::swap(spare, buffer);
+}
+
+}  // namespace
+
+BlockRunTrace::~BlockRunTrace() {
+  if (runs_.capacity() == 0 && steps_.capacity() == 0) return;  // moved-from
+  if (t_spare_gone) return;  // thread exit: plain free
+  park(t_spare.runs, runs_);
+  park(t_spare.steps, steps_);
+}
+
+BlockRunTrace BlockRunTrace::recycled(std::uint64_t block_size) {
+  BlockRunTrace trace(block_size);
+  if (!t_spare_gone) {
+    trace.runs_ = std::move(t_spare.runs);
+    trace.runs_.clear();
+    trace.steps_ = std::move(t_spare.steps);
+    trace.steps_.clear();
+  }
+  return trace;
+}
+
+std::size_t BlockRunTrace::thread_spare_bytes() {
+  if (t_spare_gone) return 0;
+  return t_spare.runs.capacity() * sizeof(PackedRun) +
+         t_spare.steps.capacity() * sizeof(ReplayStep);
+}
+
+void BlockRunTrace::release_thread_spare() {
+  if (t_spare_gone) return;
+  t_spare.runs = {};
+  t_spare.steps = {};
+}
+
 std::uint32_t BlockRunTrace::LastSeen::exchange(BlockId block,
                                                 std::uint32_t run1) {
   if (block >= dense_.size()) {
@@ -116,7 +174,15 @@ std::vector<BlockId> BlockRunTrace::expand() const {
 }
 
 void BlockRunRecorder::close_run(std::uint64_t end) {
-  trace_.push(run_block_, end - run_start_);
+  const std::uint64_t count = end - run_start_;
+  if (trace_.append_indexed(run_block_, count, last_seen_)) [[likely]] {
+    return;
+  }
+  store_run(count);
+}
+
+void BlockRunRecorder::store_run(std::uint64_t count) {
+  trace_.push(run_block_, count);
   trace_.index_tail(run_block_, last_seen_);
 }
 

@@ -42,8 +42,10 @@ struct BlockRun {
 
 /// A growable array of trivially copyable T on malloc/realloc. Unlike
 /// std::vector it never copies into a fresh buffer to grow: glibc grows
-/// large blocks in place with mremap, so a long capture faults each page
-/// in once instead of once per doubling.
+/// large blocks in place with mremap, so one capture faults each page in
+/// once instead of once per doubling. clear() keeps the capacity, which
+/// is how a recycled trace (BlockRunTrace's thread spare) avoids
+/// faulting its pages in again.
 template <class T>
 class PodBuffer {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -70,6 +72,7 @@ class PodBuffer {
   void clear() { size_ = 0; }
 
   std::size_t size() const { return size_; }
+  std::size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
   T& back() { return data_[size_ - 1]; }
   const T& back() const { return data_[size_ - 1]; }
@@ -77,7 +80,7 @@ class PodBuffer {
   std::span<const T> view() const { return {data_, size_}; }
 
  private:
-  void grow() {
+  [[gnu::noinline]] void grow() {
     const std::size_t capacity = capacity_ < 64 ? 64 : 2 * capacity_;
     void* grown = std::realloc(data_, capacity * sizeof(T));
     if (grown == nullptr) throw std::bad_alloc();
@@ -127,6 +130,20 @@ class BlockRunTrace {
   BlockRunTrace() = default;
   explicit BlockRunTrace(std::uint64_t block_size)
       : block_size_(block_size) {}
+  BlockRunTrace(BlockRunTrace&&) noexcept = default;
+  BlockRunTrace& operator=(BlockRunTrace&&) noexcept = default;
+  /// Parks the storage in the calling thread's spare slot (below).
+  ~BlockRunTrace();
+
+  /// Trace storage is recycled per thread: a destroyed trace leaves its
+  /// run and index buffers in the thread's one spare slot (the larger
+  /// buffers win when two traces die), and the next BlockRunRecorder on
+  /// that thread starts from them, cleared, so a capture writes into
+  /// pages that are already resident. The bytes the calling thread holds
+  /// there, and a way to hand them back to the allocator (tests, cold
+  /// benchmarks).
+  static std::size_t thread_spare_bytes();
+  static void release_thread_spare();
 
   void push(BlockId block, std::uint64_t count);
 
@@ -173,6 +190,11 @@ class BlockRunTrace {
     /// Note that run `run1 - 1` touches `block`; return the previous
     /// entry (0 if none).
     std::uint32_t exchange(BlockId block, std::uint32_t run1);
+    /// The direct-mapped entry of `block`, or null if the table does not
+    /// cover it yet (exchange() then decides whether to grow or hash).
+    std::uint32_t* dense_slot(BlockId block) {
+      return block < dense_.size() ? &dense_[block] : nullptr;
+    }
 
    private:
     std::vector<std::uint32_t> dense_;
@@ -190,6 +212,34 @@ class BlockRunTrace {
   /// (the recorder calls this after each push).
   void index_tail(BlockId block, LastSeen& last);
 
+  /// The recorder's common case, stored and indexed in one step: a run
+  /// of at most kMaxRunCount accesses on a narrow block that the dense
+  /// table already covers, with room left in the index. Writes one
+  /// PackedRun and one ReplayStep; returns false, having written
+  /// nothing, for every other run, which then takes push() +
+  /// index_tail() — the one definition of the storage and indexing
+  /// rules, which this shortcut matches on the runs it takes.
+  /// Precondition (the recorder's invariant): the index is complete and
+  /// `block` differs from the last stored run's, so push() would
+  /// neither top up nor leave the index behind.
+  bool append_indexed(BlockId block, std::uint64_t count, LastSeen& last) {
+    const std::size_t run = runs_.size();
+    std::uint32_t* const slot = last.dense_slot(block);
+    if (count - 1 >= kMaxRunCount || block >= kWideBlock ||
+        slot == nullptr || run + 1 >= kMaxIndexedRuns) {
+      return false;
+    }
+    accesses_ += count;
+    runs_.push_back(PackedRun{static_cast<std::uint32_t>(block),
+                              static_cast<std::uint32_t>(count)});
+    steps_.push_back(
+        ReplayStep{std::exchange(*slot, static_cast<std::uint32_t>(run + 1))});
+    return true;
+  }
+
+  /// An empty trace on the calling thread's spare storage, if any.
+  static BlockRunTrace recycled(std::uint64_t block_size);
+
   std::uint64_t block_size_ = 0;
   std::uint64_t accesses_ = 0;
   PodBuffer<PackedRun> runs_;
@@ -203,11 +253,12 @@ class BlockRunTrace {
 /// changes), and run lengths are recovered exactly from the access
 /// counter — the recorder works identically on the per-access path.
 /// Each closed run is indexed as it is stored, so the trace is complete
-/// at take() with no second pass over the runs.
+/// at take() with no second pass over the runs. The trace starts on the
+/// thread's spare storage (BlockRunTrace::thread_spare_bytes).
 class BlockRunRecorder final : public Machine {
  public:
   explicit BlockRunRecorder(std::uint64_t block_size)
-      : Machine(block_size), trace_(block_size) {}
+      : Machine(block_size), trace_(BlockRunTrace::recycled(block_size)) {}
 
   std::uint64_t misses() const override { return 0; }
 
@@ -223,6 +274,8 @@ class BlockRunRecorder final : public Machine {
 
  private:
   void close_run(std::uint64_t end);
+  /// Every run append_indexed() declines.
+  [[gnu::noinline]] void store_run(std::uint64_t count);
 
   BlockRunTrace trace_;
   BlockRunTrace::LastSeen last_seen_;

@@ -7,16 +7,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include "algos/sim_data.hpp"
+#include "algos/sort.hpp"
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
 #include "core/report.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/recorder.hpp"
+#include "paging/address_space.hpp"
 #include "paging/block_run.hpp"
 #include "paging/ca_machine.hpp"
 #include "paging/lru_cache.hpp"
@@ -606,6 +614,226 @@ TEST(TraceIndex, RecorderTraceArrivesIndexed) {
   EXPECT_TRUE(trace.has_replay_index());
   trace.push(last + 1, 1);
   EXPECT_FALSE(trace.has_replay_index());
+}
+
+// ---- Recycled trace storage (BlockRunTrace's per-thread spare) ----
+
+using Workload = void (*)(paging::Machine&);
+
+// The logical runs by definition, for checking what a capture stored:
+// each block change opens a run, and the access counter closes it.
+class RunLog final : public paging::Machine {
+ public:
+  RunLog() : Machine(8) {}
+  std::uint64_t misses() const override { return 0; }
+  std::vector<paging::BlockRun> runs() const {
+    std::vector<paging::BlockRun> runs = runs_;
+    if (!runs.empty()) runs.back().count = accesses() - start_;
+    return runs;
+  }
+
+ protected:
+  void access_cold(paging::WordAddr, BlockId block) override {
+    if (!runs_.empty()) {
+      if (runs_.back().block == block) return;
+      runs_.back().count = accesses() - 1 - start_;
+    }
+    runs_.push_back(paging::BlockRun{block, 0});
+    start_ = accesses() - 1;
+    mark_hot(block);
+  }
+
+ private:
+  std::vector<paging::BlockRun> runs_;
+  std::uint64_t start_ = 0;
+};
+
+void dense_runs(paging::Machine& recorder) {
+  util::Rng rng(301);
+  for (int i = 0; i < 4000; ++i) {
+    recorder.access_run(rng.below(1 << 10) * 8, 1 + rng.below(6));
+  }
+}
+
+// Ids on both sides of 2^32 - 1 (side-table storage) and sparse ids
+// (hash map), between dense ones.
+void wide_runs(paging::Machine& recorder) {
+  util::Rng rng(302);
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t pick = rng.below(4);
+    const BlockId block = pick == 0   ? 0xfffffffcull + rng.below(8)
+                          : pick == 1 ? rng.below(1ull << 40)
+                                      : rng.below(300);
+    recorder.access_run(block * 8, 1 + rng.below(4));
+  }
+}
+
+// Runs at, just past and far past 2^32 - 1 accesses (split into
+// pieces), between ordinary ones.
+void long_runs(paging::Machine& recorder) {
+  constexpr std::uint64_t kMax = BlockRunTrace::kMaxRunCount;
+  const std::vector<std::pair<BlockId, std::uint64_t>> runs = {
+      {3, kMax}, {7, 1}, {3, kMax + 1}, {5, 2}, {7, 3 * kMax + 2},
+      {3, 4},    {9, kMax - 1}, {5, 1}};
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [block, count] : runs) {
+      recorder.access_run((block + static_cast<BlockId>(round)) * 8, count);
+    }
+  }
+}
+
+// Every access through the virtual per-access path.
+void per_access_runs(paging::Machine& recorder) {
+  recorder.set_per_access(true);
+  util::Rng rng(304);
+  for (int i = 0; i < 3000; ++i) {
+    recorder.access_run(rng.below(500) * 8, 1 + rng.below(5));
+  }
+}
+
+constexpr Workload kWorkloads[] = {dense_runs, wide_runs, long_runs,
+                                   per_access_runs};
+
+BlockRunTrace capture(Workload workload) {
+  BlockRunRecorder recorder(8);
+  workload(recorder);
+  return recorder.take();
+}
+
+// A capture on a thread that has never held a trace: fresh storage.
+BlockRunTrace capture_on_fresh_thread(Workload workload) {
+  BlockRunTrace trace;
+  std::thread([&] {
+    EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);
+    trace = capture(workload);
+  }).join();
+  return trace;
+}
+
+void expect_traces_eq(const BlockRunTrace& got, const BlockRunTrace& want) {
+  EXPECT_EQ(got.runs(), want.runs());
+  EXPECT_EQ(index_of(got), index_of(want));
+  EXPECT_EQ(got.accesses(), want.accesses());
+  EXPECT_EQ(got.stored_runs(), want.stored_runs());
+  EXPECT_EQ(got.has_replay_index(), want.has_replay_index());
+  EXPECT_EQ(got.block_size(), want.block_size());
+}
+
+// A trace captured into recycled storage equals one captured on fresh
+// storage, whether the spare came from a larger or a smaller trace, for
+// dense, wide and over-long runs and a per-access recorder. The fresh
+// capture stores the runs by definition, indexed as the offline pass
+// (push() + ensure_replay_index()) indexes them.
+TEST(TraceCapture, RecycledStorageEqualsFresh) {
+  const auto spare_from = [](int runs) {
+    BlockRunTrace::release_thread_spare();
+    (void)random_trace(400 + static_cast<std::uint64_t>(runs), runs);
+    EXPECT_GT(BlockRunTrace::thread_spare_bytes(), 0u);
+  };
+  for (std::size_t w = 0; w < std::size(kWorkloads); ++w) {
+    const BlockRunTrace fresh = capture_on_fresh_thread(kWorkloads[w]);
+    RunLog log;
+    kWorkloads[w](log);
+    EXPECT_EQ(fresh.runs(), log.runs()) << "workload " << w;
+    EXPECT_EQ(fresh.accesses(), log.accesses()) << "workload " << w;
+    ASSERT_TRUE(fresh.has_replay_index()) << "workload " << w;
+    EXPECT_EQ(index_of(fresh), offline_index(fresh)) << "workload " << w;
+    for (const int spare_runs : {40000, 3}) {  // larger, then smaller
+      spare_from(spare_runs);
+      BlockRunRecorder recorder(8);
+      EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);  // taken
+      kWorkloads[w](recorder);
+      const BlockRunTrace recycled = recorder.take();
+      SCOPED_TRACE("workload " + std::to_string(w) + ", spare of " +
+                   std::to_string(spare_runs) + " runs");
+      expect_traces_eq(recycled, fresh);
+    }
+  }
+  BlockRunTrace::release_thread_spare();
+}
+
+// The same on a real program: a recycled merge sort capture walks to
+// exactly the counters of a direct run of the program.
+TEST(TraceCapture, RecycledProgramWalkMatchesDirect) {
+  const auto sort_into = [](paging::Machine& machine) {
+    paging::AddressSpace space(8);
+    algos::SimVector<std::int64_t> data(machine, space, 2048);
+    util::Rng rng(55);
+    for (std::size_t i = 0; i < 2048; ++i) {
+      data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 20));
+    }
+    algos::merge_sort(machine, space, data);
+  };
+  BlockRunTrace::release_thread_spare();
+  (void)random_trace(56, 50000);  // a larger spare, with stale runs
+  BlockRunRecorder recorder(8);
+  sort_into(recorder);
+  const BlockRunTrace trace = recorder.take();
+  ASSERT_TRUE(trace.has_replay_index());
+  EXPECT_EQ(index_of(trace), naive_index(trace));
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    CaMachine walk(random_boxes(seed), 8, /*record_boxes=*/true);
+    walk.replay_trace(trace);
+    EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+    CaMachine direct(random_boxes(seed), 8, /*record_boxes=*/true);
+    sort_into(direct);
+    expect_ca_machines_eq(walk, direct);
+  }
+  BlockRunTrace::release_thread_spare();
+}
+
+// A thread holds at most one spare: when two traces die, the larger
+// one's storage stays and the other is freed, in either order; a
+// recorder takes the spare; each thread has its own.
+TEST(TraceCapture, ThreadKeepsOneSpare) {
+  const auto spare_after = [](int runs) {
+    BlockRunTrace::release_thread_spare();
+    (void)random_trace(500, runs);
+    return BlockRunTrace::thread_spare_bytes();
+  };
+  const std::size_t large = spare_after(30000);
+  const std::size_t small = spare_after(100);
+  ASSERT_GT(small, 0u);
+  ASSERT_GT(large, small);
+
+  for (const bool large_first : {true, false}) {
+    BlockRunTrace::release_thread_spare();
+    {
+      std::optional<BlockRunTrace> a = random_trace(500, 30000);
+      std::optional<BlockRunTrace> b = random_trace(500, 100);
+      EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);
+      if (large_first) {
+        a.reset();
+        b.reset();
+      } else {
+        b.reset();
+        a.reset();
+      }
+    }
+    EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), large)
+        << "large first: " << large_first;
+  }
+
+  // A trace that dies on another thread parks there, not here.
+  BlockRunTrace::release_thread_spare();
+  BlockRunTrace other = random_trace(500, 100);
+  std::thread([moved = std::move(other), small]() mutable {
+    { BlockRunTrace dies = std::move(moved); }
+    EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), small);
+    BlockRunTrace::release_thread_spare();
+  }).join();
+  EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);
+
+  // A recorder takes the spare; its unused trace hands it back.
+  (void)random_trace(500, 100);
+  {
+    BlockRunRecorder recorder(8);
+    EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);
+  }
+  EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), small);
+  BlockRunTrace::release_thread_spare();
+  EXPECT_EQ(BlockRunTrace::thread_spare_bytes(), 0u);
 }
 
 // ---- Cell-level bit identity through the campaign runner ----
