@@ -270,6 +270,54 @@ void BM_IidSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_IidSampling);
 
+// The per-box split of Theorem 1's random streams, one layer at a time
+// (docs/PERF.md, "Engine step"), over the same pre-drawn
+// iid:geometric:6 boxes of 8:4:1: BM_IidSampling above is the sampling
+// layer, BM_AccumulateBoxes the potential sums alone and BM_EngineStep the
+// engine alone, each box through the public consume_box(s).
+const std::vector<profile::BoxSize>& geometric_boxes() {
+  static const std::vector<profile::BoxSize> boxes = [] {
+    const profile::GeometricPowers dist(4, 8.0, 0, 6);
+    util::Rng rng(7);
+    std::vector<profile::BoxSize> out(std::size_t{1} << 21);
+    for (auto& s : out) s = dist.sample_bits(rng.bits53());
+    return out;
+  }();
+  return boxes;
+}
+
+// One execution of 8:4:1 at n = 4^k per iteration, fed from the array
+// where the previous one stopped.
+void BM_EngineStep(benchmark::State& state) {
+  const std::uint64_t n = util::ipow(4, static_cast<unsigned>(state.range(0)));
+  const std::vector<profile::BoxSize>& boxes = geometric_boxes();
+  std::size_t at = 0;
+  std::uint64_t consumed = 0;
+  for (auto _ : state) {
+    engine::RegularExecution exec({8, 4, 1.0}, n);
+    while (!exec.done()) {
+      exec.consume_box(boxes[at]);
+      if (++at == boxes.size()) at = 0;
+    }
+    consumed += exec.boxes_consumed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(consumed));
+}
+BENCHMARK(BM_EngineStep)->Arg(5)->Arg(6)->Arg(7);
+
+// Both potential sums of 8:4:1 at n = 4^6 over the whole array.
+void BM_AccumulateBoxes(benchmark::State& state) {
+  const std::vector<profile::BoxSize>& boxes = geometric_boxes();
+  for (auto _ : state) {
+    model::AdaptivityAccumulator acc({8, 4, 1.0}, util::ipow(4, 6));
+    for (const profile::BoxSize s : boxes) acc.add_box(s);
+    benchmark::DoNotOptimize(acc.sum_bounded_potential());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(boxes.size()));
+}
+BENCHMARK(BM_AccumulateBoxes);
+
 void BM_LruAccess(benchmark::State& state) {
   paging::LruCache cache(static_cast<std::uint64_t>(state.range(0)));
   util::Rng rng(7);

@@ -169,6 +169,13 @@ ProgramSpec parse_program(const std::string& token) {
   return prog;
 }
 
+/// Whether a program cell records its block-run trace once and replays
+/// it in every trial (make_program_runner): every program but the adaptive
+/// sort, whose access stream follows the live box profile.
+bool replays_trace(const ProgramSpec& prog, const CellRunOptions& options) {
+  return options.capture_trace && prog.kind != ProgramSpec::Kind::kAdaptive;
+}
+
 /// Work units for the per-unit I/O metric: keys for the sorts, elements
 /// for the matrix kernels.
 std::uint64_t program_units(const ProgramSpec& prog, std::uint64_t keys) {
@@ -291,8 +298,7 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
   const robust::CancelToken* cancel =
       options.cancel_per_box ? options.cancel : nullptr;
   const paging::CaConfig config = ca_config_for(cell, options);
-  const bool replayable =
-      capture && prog.kind != ProgramSpec::Kind::kAdaptive;
+  const bool replayable = replays_trace(prog, options);
 
   // Shared across the trials of this cell (and across threads when the
   // CLI's mc mode fans trials out on a pool): the once-recorded trace.
@@ -417,10 +423,20 @@ std::vector<robust::TrialRecord> run_cell(const Cell& cell,
   // cover, still scale with workers.
   if (options.workers >= 2 && cell.trials >= 2 && !cell.sort.empty()) {
     std::vector<robust::TrialRecord> records(cell.trials);
+    // A replayable cell's first trial captures the trace that every trial
+    // replays. Run it alone first: fanned out, the other trials would only
+    // wait on that capture, and the pool's idle workers spin meanwhile.
+    const std::uint64_t first =
+        replays_trace(parse_program(cell.sort), options) ? 1 : 0;
+    if (first == 1) {
+      records[0] =
+          engine::run_single_trial(trial_options, runner, 0, options.timing);
+    }
     sched::parallel_trials(
-        cell.trials, options.workers, cell.seed, [&](std::uint64_t trial) {
-          records[trial] = engine::run_single_trial(trial_options, runner,
-                                                    trial, options.timing);
+        cell.trials - first, options.workers, cell.seed,
+        [&](std::uint64_t i) {
+          records[first + i] = engine::run_single_trial(
+              trial_options, runner, first + i, options.timing);
         });
     return records;
   }

@@ -22,139 +22,234 @@ RegularExecution::RegularExecution(const model::RegularParams& params,
   CADAPT_CHECK_MSG(util::is_power_of(n, params_.b),
                    "problem size must be a power of b; n=" << n);
   total_leaves_ = params_.leaves(n);  // checks a^levels fits 64 bits
+  root_ = util::ilog(n, params_.b);
   // U(b^0) = 1; U(b^k) = a·U(b^{k-1}) + scan_size(b^k).
-  const unsigned levels = util::ilog(n, params_.b);
-  units_by_level_.resize(levels + 1);
-  leaves_by_level_.resize(levels + 1);
-  scan_by_level_.resize(levels + 1);
-  units_by_level_[0] = 1;
-  leaves_by_level_[0] = 1;
-  scan_by_level_[0] = params_.scan_size(1);
-  std::uint64_t size = 1;
-  for (unsigned k = 1; k <= levels; ++k) {
-    size *= params_.b;
-    scan_by_level_[k] = params_.scan_size(size);
-    leaves_by_level_[k] = params_.a * leaves_by_level_[k - 1];
-    units_by_level_[k] = params_.a * units_by_level_[k - 1] + scan_by_level_[k];
+  levels_.assign(root_ + 1, Level{});
+  units_by_level_.assign(root_ + 1, 1);
+  levels_[0] = {1, 0, 1, params_.scan_size(1), 0, 0, 0, 0};
+  for (unsigned k = 1; k <= root_; ++k) {
+    Level& below = levels_[k - 1];
+    Level& row = levels_[k];
+    row.size = below.size * params_.b;
+    below.last = row.size - 1;
+    row.scan = params_.scan_size(row.size);
+    row.leaves = params_.a * below.leaves;
+    units_by_level_[k] = params_.a * units_by_level_[k - 1] + row.scan;
   }
-  stack_.push_back(
-      {n, levels, 0, 0,
-       profile::OrderPerturbedWorstCaseSource::root_hash(adversary_seed_)});
+  levels_[root_].last = UINT64_MAX;
+  // level_of reads widths of boxes below n only; one pass up the rows
+  // fills them (a trial can be a few hundred boxes, so this stays cheap).
+  unsigned level = 0;
+  for (unsigned w = 1; w <= std::bit_width(n_ - 1); ++w) {
+    const std::uint64_t low = std::uint64_t{1} << (w - 1);
+    while (level < root_ && levels_[level + 1].size <= low) ++level;
+    level_by_width_[w] = static_cast<std::uint8_t>(level);
+  }
+  top_ = root_;
+  levels_[root_].node_hash =
+      profile::OrderPerturbedWorstCaseSource::root_hash(adversary_seed_);
   normalize();
-  CADAPT_CHECK(!stack_.empty());  // a fresh problem always has work
+  CADAPT_CHECK(!done());  // a fresh problem always has work
 }
 
 std::uint64_t RegularExecution::units_done() const {
-  if (stack_.empty()) return total_units();
+  if (done()) return total_units();
   std::uint64_t total = 0;
-  for (const Frame& f : stack_) {
-    if (f.size == 1) break;  // pending base case contributes nothing
-    total += completed_children(f) * units_by_level_[f.level - 1];
+  // A pending base case (level 0) contributes nothing.
+  for (unsigned l = root_; l >= top_ && l >= 1; --l) {
+    const Level& f = levels_[l];
+    total += completed_children(f) * units_by_level_[l - 1];
     const std::uint64_t chunks_complete = f.phase / 2;
     for (std::uint64_t j = 0; j < chunks_complete; ++j)
-      total += chunk_size(f, j);
+      total += chunk_size(l, j);
     if (f.phase % 2 == 1) total += f.scan_offset;
   }
   return total;
 }
 
-std::uint64_t RegularExecution::chunk_size(const Frame& f,
+std::uint64_t RegularExecution::chunk_size(unsigned level,
                                            std::uint64_t chunk) const {
-  const std::uint64_t scan = scan_by_level_[f.level];
+  const Level& f = levels_[level];
   const std::uint64_t a = params_.a;
   CADAPT_CHECK(chunk < a);
   switch (placement_) {
     case ScanPlacement::kEnd:
-      return chunk + 1 == a ? scan : 0;
+      return chunk + 1 == a ? f.scan : 0;
     case ScanPlacement::kAdversaryMatched: {
       // The whole scan goes right after child own_after (1-based); chunk
       // i follows child i+1, so the scan lands in chunk own_after - 1.
       const std::uint64_t after = profile::OrderPerturbedWorstCaseSource::
           own_after(f.node_hash, a);
-      return chunk + 1 == after ? scan : 0;
+      return chunk + 1 == after ? f.scan : 0;
     }
     case ScanPlacement::kInterleaved:
       break;
   }
   // kInterleaved: distribute as evenly as possible; earlier chunks take
   // the remainder.
-  const std::uint64_t base = scan / a;
-  const std::uint64_t extra = chunk < scan % a ? 1 : 0;
+  const std::uint64_t base = f.scan / a;
+  const std::uint64_t extra = chunk < f.scan % a ? 1 : 0;
   return base + extra;
 }
 
-std::uint64_t RegularExecution::leaves_done_within(std::size_t idx) const {
-  std::uint64_t total = 0;
-  for (std::size_t i = idx; i < stack_.size(); ++i) {
-    if (stack_[i].size == 1) break;  // a pending base case contributes 0
-    total += completed_children(stack_[i]) *
-             leaves_by_level_[stack_[i].level - 1];
+// descend, retire_up, normalize_end and complete_frame make up the
+// optimistic kEnd step, the one Theorem 1's random streams take per box:
+// inlined into it, a box that completes a leaf runs without a call.
+[[gnu::always_inline]] inline void RegularExecution::descend() {
+  // Path hashes only steer kAdversaryMatched; every other placement
+  // leaves them 0 and skips the per-descent hash.
+  const bool hashed = placement_ == ScanPlacement::kAdversaryMatched;
+  std::uint64_t child = levels_[top_].phase / 2;
+  for (unsigned l = top_; l > 0; --l) {
+    Level& f = levels_[l - 1];
+    f.phase = 0;
+    f.scan_offset = 0;
+    f.start_leaves = leaves_done_;
+    f.node_hash = hashed ? util::hash_combine(levels_[l].node_hash, child) : 0;
+    child = 0;
   }
-  return total;
+  top_ = 0;
 }
 
-std::uint64_t RegularExecution::normalize() {
+std::uint64_t RegularExecution::normalize_general() {
   const std::uint64_t a = params_.a;
   std::uint64_t largest_retired = 0;
-  while (!stack_.empty()) {
-    Frame& f = stack_.back();
-    if (f.size == 1) break;  // pending base case
+  while (top_ > 0 && top_ <= root_) {  // stop at a pending base case
+    Level& f = levels_[top_];
     if (f.phase % 2 == 0) {
-      // Descend into child phase/2. Path hashes only steer
-      // kAdversaryMatched; every other placement leaves them 0 and skips
-      // the per-descent hash.
-      const std::uint64_t child_hash =
-          placement_ == ScanPlacement::kAdversaryMatched
-              ? util::hash_combine(f.node_hash, f.phase / 2)
-              : 0;
-      stack_.push_back({f.size / params_.b, f.level - 1, 0, 0, child_hash});
-      continue;
+      descend();
+      break;
     }
     // Odd phase: scan chunk (phase - 1) / 2.
-    if (f.scan_offset < chunk_size(f, (f.phase - 1) / 2)) break;
+    if (f.scan_offset < chunk_size(top_, (f.phase - 1) / 2)) break;
     f.phase += 1;
     f.scan_offset = 0;
     if (f.phase == 2 * a) {
-      largest_retired = std::max(largest_retired, f.size);
-      stack_.pop_back();
-      if (!stack_.empty()) {
+      // Sizes grow upward, so the latest retired problem is the largest.
+      largest_retired = f.size;
+      if (++top_ <= root_) {
         // The parent's current (even) child phase just completed.
-        stack_.back().phase += 1;
-        stack_.back().scan_offset = 0;
+        levels_[top_].phase += 1;
+        levels_[top_].scan_offset = 0;
       }
     }
   }
   return largest_retired;
 }
 
-BoxReport RegularExecution::consume_box(profile::BoxSize s) {
+[[gnu::always_inline]] inline std::uint64_t RegularExecution::retire_up(
+    unsigned level, std::uint64_t largest) {
+  if (placement_ != ScanPlacement::kEnd) {
+    top_ = level;
+    if (top_ > root_) return largest;
+    // The parent's current (even) child phase just completed; completing
+    // its last child with no (remaining) scan may cascade upward.
+    levels_[top_].phase += 1;
+    levels_[top_].scan_offset = 0;
+    return std::max(largest, normalize_general());
+  }
+  // kEnd: the finished child's chunk is empty unless it was the last
+  // child, so the parent either moves straight on to its next child or
+  // rests in its scan; a parent with no scan retires in turn.
+  const std::uint64_t last = 2 * params_.a - 1;
+  for (; level <= root_; ++level) {
+    Level& f = levels_[level];
+    f.scan_offset = 0;
+    if (++f.phase != last) {
+      ++f.phase;
+      top_ = level;
+      descend();
+      return largest;
+    }
+    if (f.scan > 0) break;
+    // Sizes grow upward, so the latest retired problem is the largest.
+    largest = f.size;
+  }
+  top_ = level;
+  return largest;
+}
+
+[[gnu::always_inline]] inline std::uint64_t
+RegularExecution::normalize_end() {
+  if (done() || top_ == 0) return 0;  // a pending base case is at rest
+  Level& f = levels_[top_];
+  if (f.phase % 2 == 1) {
+    // Only the last chunk, in phase 2a - 1, holds scan.
+    if (f.phase == 2 * params_.a - 1) {
+      if (f.scan_offset < f.scan) return 0;
+      return retire_up(top_ + 1, f.size);
+    }
+    f.phase += 1;  // empty chunk: straight on to the next child
+  }
+  descend();
+  return 0;
+}
+
+std::uint64_t RegularExecution::normalize() {
+  return placement_ == ScanPlacement::kEnd ? normalize_end()
+                                           : normalize_general();
+}
+
+[[gnu::always_inline]] inline std::uint64_t RegularExecution::complete_frame(
+    unsigned level, std::uint64_t& progress) {
+  const Level& f = levels_[level];
+  const std::uint64_t reached = f.start_leaves + f.leaves;
+  progress += reached - leaves_done_;
+  leaves_done_ = reached;
+  return retire_up(level + 1, f.size);
+}
+
+[[gnu::cold, gnu::noinline]] void RegularExecution::reject_box(
+    profile::BoxSize s, unsigned level) const {
   CADAPT_CHECK_MSG(s >= 1, "box size must be >= 1");
   CADAPT_CHECK_MSG(!done(), "consume_box on a finished execution");
+  CADAPT_CHECK_MSG(level == level_of(s),
+                   "box level " << level << " is not floor(log_b min(n, "
+                                << s << "))");
+  CADAPT_CHECK(false);  // unreachable: some check above fails
+}
+
+[[gnu::always_inline]] inline BoxReport RegularExecution::step(
+    profile::BoxSize s, unsigned level) {
+  // One test on the hot path; reject_box, out of line, says which failed.
+  if (s == 0 || done()) [[unlikely]] reject_box(s, level);
   ++boxes_consumed_;
   // Disabled path (no recorder): one predictable never-taken branch, then
-  // the same tail-call dispatch as the uninstrumented engine — guarded by
-  // bench_microbench's BM_EngineUnitBoxes staying within noise of the
-  // seed engine.
-  if (recorder_ != nullptr) [[unlikely]] return consume_box_recorded(s);
-  return semantics_ == BoxSemantics::kOptimistic ? consume_box_optimistic(s)
-                                                 : consume_box_budgeted(s);
+  // the same dispatch as the uninstrumented engine — guarded by
+  // bench_microbench's BM_EngineUnitBoxes.
+  if (recorder_ != nullptr) [[unlikely]] return consume_box_recorded(s, level);
+  return semantics_ == BoxSemantics::kOptimistic
+             ? consume_box_optimistic(s, level)
+             : consume_box_budgeted(s);
+}
+
+BoxReport RegularExecution::consume_box(profile::BoxSize s) {
+  return step(s, level_of(s));
+}
+
+BoxReport RegularExecution::consume_box(profile::BoxSize s, unsigned level) {
+  // The level's own row bounds its boxes: no second lookup.
+  if (level > root_ || s < levels_[level].size || s > levels_[level].last)
+      [[unlikely]]
+    reject_box(s, level);
+  return step(s, level);
 }
 
 [[gnu::cold, gnu::noinline]] BoxReport RegularExecution::consume_box_recorded(
-    profile::BoxSize s) {
+    profile::BoxSize s, unsigned level) {
   // Classify the branch before consuming: frame sizes strictly decrease
   // with depth, so the box jump-completes iff the deepest frame — the
   // smallest enclosing problem — has size <= s.
   const obs::ExecBranch branch =
       semantics_ == BoxSemantics::kBudgeted ? obs::ExecBranch::kBudgeted
-      : stack_.back().size <= s             ? obs::ExecBranch::kCompleteJump
+      : levels_[top_].size <= s             ? obs::ExecBranch::kCompleteJump
                                             : obs::ExecBranch::kScanAdvance;
   // Per-box scan advance is the delta of the identity
   // scan position = units_done() - leaves_done() around the box; the two
   // O(depth) units_done() walks are paid only here, on the recording path.
   const std::uint64_t scan_before = units_done() - leaves_done_;
   const BoxReport report = semantics_ == BoxSemantics::kOptimistic
-                               ? consume_box_optimistic(s)
+                               ? consume_box_optimistic(s, level)
                                : consume_box_budgeted(s);
   recorder_->on_box({boxes_consumed_ - 1, s, report.progress,
                      units_done() - leaves_done_ - scan_before,
@@ -162,46 +257,35 @@ BoxReport RegularExecution::consume_box(profile::BoxSize s) {
   return report;
 }
 
-BoxReport RegularExecution::consume_box_optimistic(profile::BoxSize s) {
+[[gnu::always_inline]] inline BoxReport
+RegularExecution::consume_box_optimistic(profile::BoxSize s, unsigned level) {
   BoxReport report;
-
-  // Frame sizes strictly decrease with depth, so the frames of size <= s
-  // form a suffix of the stack; find the topmost one.
-  std::size_t idx = stack_.size();
-  while (idx > 0 && stack_[idx - 1].size <= s) --idx;
-
-  if (idx < stack_.size()) {
-    // The box begins inside the problem stack_[idx] of size <= s: it
-    // completes that problem in full and goes no further (§4 semantics).
-    const std::uint64_t completed_size = stack_[idx].size;
-    const std::uint64_t remaining =
-        leaves_by_level_[stack_[idx].level] - leaves_done_within(idx);
-    leaves_done_ += remaining;
-    report.progress = remaining;
-    report.completed_problem = completed_size;
-    stack_.resize(idx);
-    if (!stack_.empty()) {
-      stack_.back().phase += 1;
-      stack_.back().scan_offset = 0;
-      // The jump may cascade: completing the last child of a problem with
-      // no (remaining) scan completes that problem too.
-      report.completed_problem =
-          std::max(report.completed_problem, normalize());
-    }
+  // Frame sizes strictly decrease with depth, so the open frames of size
+  // <= s are the levels top_..level, and the topmost is at `level`.
+  if (top_ <= level) {
+    // The box begins inside that problem of size <= s: it completes the
+    // problem in full and goes no further (§4 semantics).
+    report.completed_problem = complete_frame(level, report.progress);
     return report;
   }
 
   // Every enclosing problem is larger than s, so the current position is
   // inside a scan (a pending base case has size 1 <= s and would have been
   // caught above).
-  Frame& f = stack_.back();
+  Level& f = levels_[top_];
   CADAPT_CHECK(f.phase % 2 == 1);
-  const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+  // kEnd rests only in the last chunk, which holds the whole scan.
+  const std::uint64_t chunk = placement_ == ScanPlacement::kEnd
+                                  ? f.scan
+                                  : chunk_size(top_, (f.phase - 1) / 2);
   CADAPT_CHECK(f.scan_offset < chunk);
-  const std::uint64_t advance = std::min<std::uint64_t>(s, chunk - f.scan_offset);
-  f.scan_offset += advance;
-  // Finishing the last scan chunk retires the problem (and possibly its
+  if (s < chunk - f.scan_offset) {
+    f.scan_offset += s;
+    return report;
+  }
+  // Finishing the chunk may retire the problem (and possibly its
   // ancestors); report the largest problem retired.
+  f.scan_offset = chunk;
   report.completed_problem = normalize();
   return report;
 }
@@ -209,11 +293,11 @@ BoxReport RegularExecution::consume_box_optimistic(profile::BoxSize s) {
 BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
   BoxReport report;
   std::uint64_t budget = s;
-  while (budget > 0 && !stack_.empty()) {
-    Frame& f = stack_.back();
+  while (budget > 0 && !done()) {
+    Level& f = levels_[top_];
     if (f.phase % 2 == 1) {
       // In a scan: each scan access loads one (fresh) block.
-      const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+      const std::uint64_t chunk = chunk_size(top_, (f.phase - 1) / 2);
       CADAPT_CHECK(f.scan_offset < chunk);
       const std::uint64_t advance =
           std::min<std::uint64_t>(budget, chunk - f.scan_offset);
@@ -227,28 +311,16 @@ BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
     // frame reachable upward through phase-0 frames; completing one of
     // them wholesale costs its size in block loads. Take the largest that
     // fits in the remaining budget.
-    CADAPT_CHECK(f.size == 1);
-    std::size_t idx = stack_.size() - 1;  // the leaf frame itself
-    while (idx > 0 && stack_[idx - 1].phase == 0 &&
-           stack_[idx - 1].scan_offset == 0 && stack_[idx - 1].size <= budget) {
-      --idx;
+    CADAPT_CHECK(top_ == 0);
+    unsigned l = 0;  // the leaf frame itself
+    while (l < root_ && levels_[l + 1].phase == 0 &&
+           levels_[l + 1].scan_offset == 0 && levels_[l + 1].size <= budget) {
+      ++l;
     }
-    if (stack_[idx].size > budget) break;  // cannot even afford the leaf
-    const std::uint64_t completed_size = stack_[idx].size;
-    const std::uint64_t whole = leaves_by_level_[stack_[idx].level];
-    const std::uint64_t remaining = whole - leaves_done_within(idx);
-    CADAPT_CHECK(remaining == whole);  // at start
-    leaves_done_ += remaining;
-    report.progress += remaining;
-    report.completed_problem = std::max(report.completed_problem, completed_size);
-    budget -= completed_size;
-    stack_.resize(idx);
-    if (!stack_.empty()) {
-      stack_.back().phase += 1;
-      stack_.back().scan_offset = 0;
-      report.completed_problem =
-          std::max(report.completed_problem, normalize());
-    }
+    CADAPT_CHECK(leaves_done_ == levels_[l].start_leaves);  // at start
+    budget -= levels_[l].size;
+    report.completed_problem = std::max(report.completed_problem,
+                                        complete_frame(l, report.progress));
   }
   return report;
 }
@@ -258,19 +330,20 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
                                         const robust::CancelToken* cancel) {
   CADAPT_CHECK_MSG(count >= 1, "run count must be >= 1");
   CADAPT_CHECK_MSG(!done(), "consume_run on a finished execution");
+  CADAPT_CHECK_MSG(s >= 1, "box size must be >= 1");
+  const unsigned level = level_of(s);
   RunReport report;
   // A per-box recorder must observe every box: literal reference loop.
   if (recorder_ != nullptr && !recorder_->aggregates_runs()) {
     for (std::uint64_t i = 0; i < count && !done(); ++i) {
       if (cancel != nullptr) cancel->poll();
-      const BoxReport r = consume_box(s);
+      const BoxReport r = consume_box(s, level);
       report.progress += r.progress;
       report.completed_problem =
           std::max(report.completed_problem, r.completed_problem);
     }
     return report;
   }
-  CADAPT_CHECK_MSG(s >= 1, "box size must be >= 1");
   std::uint64_t consumed = 0;
   // One failed probe means the run is not periodic from here on cheaply;
   // finish it per-box instead of re-probing (and re-copying the stack)
@@ -285,7 +358,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
     // (0) Constant-stream subtree retirement: from the fresh start of a
     // problem larger than s, equal boxes complete it in a closed-form
     // count. Retire the largest fresh problem the rest of the run covers.
-    if (retiring && count - consumed >= 2 && stack_.back().size == 1) {
+    if (retiring && count - consumed >= 2 && top_ == 0) {
       const std::uint64_t retired = retire_fresh(s, count - consumed, report);
       if (retired > 0) {
         consumed += retired;
@@ -298,10 +371,10 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
     // scan only when every enclosing problem is larger; budgeted boxes
     // always spend their budget from inside a pending scan.)
     {
-      Frame& f = stack_.back();
+      Level& f = levels_[top_];
       if (f.phase % 2 == 1 &&
           (semantics_ == BoxSemantics::kBudgeted || f.size > s)) {
-        const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+        const std::uint64_t chunk = chunk_size(top_, (f.phase - 1) / 2);
         const std::uint64_t remaining = chunk - f.scan_offset;
         if (remaining > s) {
           const std::uint64_t q =
@@ -334,7 +407,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
       if (recorder_ != nullptr) mark = recorder_->mark();
     }
     const std::uint64_t leaves_before = leaves_done_;
-    const BoxReport r = consume_box(s);
+    const BoxReport r = consume_box(s, level);
     ++consumed;
     report.progress += r.progress;
     report.completed_problem =
@@ -362,44 +435,33 @@ std::uint64_t RegularExecution::retire_fresh(profile::BoxSize s,
   // Walk up from the pending leaf while the position is still the start of
   // each enclosing problem (the frame above is in its child 0). A problem
   // of size <= s is one box; above that, B(j) = a·B(j-1) + scan boxes(j).
-  std::size_t best = stack_.size();
+  unsigned best = root_ + 1;
   std::uint64_t best_boxes = 0;
   std::uint64_t boxes = 1;
-  for (std::size_t i = stack_.size() - 1;; --i) {
-    const Frame& f = stack_[i];
-    if (f.size > s) {
-      boxes = params_.a * boxes + scan_boxes(f.level, s);
+  for (unsigned l = 0;; ++l) {
+    if (levels_[l].size > s) {
+      boxes = params_.a * boxes + scan_boxes(l, s);
       if (boxes > budget) break;
-      best = i;
+      best = l;
       best_boxes = boxes;
     }
-    if (i == 0 || stack_[i - 1].phase != 0) break;
+    if (l == root_ || levels_[l + 1].phase != 0) break;
   }
-  if (best == stack_.size()) return 0;
-  const std::uint64_t leaves = leaves_by_level_[stack_[best].level];
-  report.progress += leaves;
-  report.completed_problem =
-      std::max(report.completed_problem, stack_[best].size);
-  leaves_done_ += leaves;
+  if (best > root_) return 0;
   boxes_consumed_ += best_boxes;
-  stack_.resize(best);
-  if (!stack_.empty()) {
-    // The subtree's last box ends exactly at its end; retiring it may
-    // cascade, as it does after that literal box.
-    stack_.back().phase += 1;
-    stack_.back().scan_offset = 0;
-    report.completed_problem =
-        std::max(report.completed_problem, normalize());
-  }
+  // The subtree's last box ends exactly at its end; retiring it may
+  // cascade, as it does after that literal box.
+  report.completed_problem = std::max(report.completed_problem,
+                                      complete_frame(best, report.progress));
   return best_boxes;
 }
 
-std::uint64_t RegularExecution::scan_boxes(std::uint64_t level,
+std::uint64_t RegularExecution::scan_boxes(unsigned level,
                                            profile::BoxSize s) const {
   // Each box advances min(s, rest of its chunk): a chunk of L blocks takes
   // ceil(L / s) boxes and an empty one none. Only kInterleaved splits the
   // scan; the other placements put it in one chunk, wherever it sits.
-  const std::uint64_t scan = scan_by_level_[level];
+  const std::uint64_t scan = levels_[level].scan;
   auto ceil_div = [s](std::uint64_t len) { return (len + s - 1) / s; };
   if (placement_ != ScanPlacement::kInterleaved) return ceil_div(scan);
   const std::uint64_t a = params_.a;
@@ -416,8 +478,10 @@ StackSignature RegularExecution::signature() const {
 
 void RegularExecution::signature_into(StackSignature& out) const {
   out.clear();
-  out.reserve(stack_.size());
-  for (const Frame& f : stack_) {
+  if (done()) return;
+  out.reserve(root_ - top_ + 1);
+  for (unsigned l = root_ + 1; l-- > top_;) {
+    const Level& f = levels_[l];
     out.push_back({f.size, f.phase, f.scan_offset});
   }
 }
@@ -428,15 +492,16 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
   // Node hashes are excluded from signatures; under kAdversaryMatched
   // they choose chunk placements, so nothing is certifiable there.
   if (placement_ == ScanPlacement::kAdversaryMatched) return std::nullopt;
-  if (stack_.empty() || stack_.size() != before.size()) return std::nullopt;
-  const std::size_t len = stack_.size();
+  if (done() || root_ - top_ + 1 != before.size()) return std::nullopt;
+  const std::size_t len = before.size();
   // Exactly one frame may have moved; sizes must agree everywhere (the
   // frames deeper than the moved one are the recreated descent into the
   // next child — identical triples mean identical future behavior, since
-  // chunk sizes depend only on (size, placement) here).
+  // chunk sizes depend only on (size, placement) here). Stack index i is
+  // level root_ - i.
   std::size_t p = len;
   for (std::size_t i = 0; i < len; ++i) {
-    const Frame& f = stack_[i];
+    const Level& f = levels_[root_ - i];
     if (f.size != before[i][0]) return std::nullopt;
     if (f.phase != before[i][1] || f.scan_offset != before[i][2]) {
       if (p != len) return std::nullopt;
@@ -444,7 +509,8 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
     }
   }
   if (p == len) return std::nullopt;  // nothing visibly moved
-  const Frame& f = stack_[p];
+  const unsigned level = root_ - static_cast<unsigned>(p);
+  const Level& f = levels_[level];
   const std::uint64_t phase0 = before[p][1];
   const std::uint64_t off0 = before[p][2];
   PeriodicDelta delta;
@@ -455,7 +521,7 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
     if (p + 1 != len || f.phase % 2 != 1) return std::nullopt;
     if (f.scan_offset <= off0) return std::nullopt;
     delta.doffset = f.scan_offset - off0;
-    const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+    const std::uint64_t chunk = chunk_size(level, (f.phase - 1) / 2);
     CADAPT_CHECK(f.scan_offset < chunk);  // normalized resting state
     // Stay strictly inside the chunk so every replayed state is exactly
     // the normalized state literal execution would rest in.
@@ -481,7 +547,8 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
       if (i1 + r * di > a - 1) break;
       bool same = true;
       for (std::uint64_t j = 0; j < di && same; ++j) {
-        same = chunk_size(f, i1 + (r - 1) * di + j) == chunk_size(f, i0 + j);
+        same = chunk_size(level, i1 + (r - 1) * di + j) ==
+               chunk_size(level, i0 + j);
       }
       if (!same) break;
       m = r;
@@ -496,11 +563,16 @@ void RegularExecution::apply_period(const PeriodicDelta& delta, std::uint64_t m,
                                     std::uint64_t boxes_per_repeat,
                                     std::uint64_t leaves_per_repeat) {
   CADAPT_CHECK(m >= 1 && m <= delta.max_repeats);
-  CADAPT_CHECK(delta.frame < stack_.size());
-  Frame& f = stack_[delta.frame];
+  CADAPT_CHECK(!done() && delta.frame <= root_ - top_);
+  const unsigned level = root_ - static_cast<unsigned>(delta.frame);
+  Level& f = levels_[level];
   f.phase += m * delta.dphase;
   f.scan_offset += m * delta.doffset;
-  leaves_done_ += m * leaves_per_repeat;
+  const std::uint64_t leaves = m * leaves_per_repeat;
+  leaves_done_ += leaves;
+  // The deeper frames are the same positions in a later child: each began
+  // `leaves` base cases later than its counterpart in the probed repeat.
+  for (unsigned l = top_; l < level; ++l) levels_[l].start_leaves += leaves;
   boxes_consumed_ += m * boxes_per_repeat;
 }
 
@@ -553,13 +625,11 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   } else if (source.provides_batches() && !source.provides_blocks()) {
     // Batch path (docs/PERF.md, "Batch path"): the stream's runs are too
     // short to pay for a virtual next_run(), a lookahead compare and a
-    // failed period probe each, so it arrives kBatchBoxes at a time. Each
-    // maximal stretch of equal boxes long enough to gain goes through
-    // consume_run (subtree retirement and in-scan arithmetic still serve
-    // long runs of small boxes); the rest go box by box, exactly as the
-    // reference loop feeds them.
+    // failed period probe each, so it arrives kBatchBoxes at a time and
+    // goes box by box, exactly as the reference loop feeds it. One lookup
+    // per box feeds both the potential sums and the engine's level-taking
+    // step.
     constexpr std::size_t kBatchBoxes = 256;
-    constexpr std::size_t kMinStretch = 4;
     std::array<profile::BoxSize, kBatchBoxes> batch;
     while (!exec.done()) {
       if (cancel != nullptr) cancel->poll();
@@ -577,21 +647,12 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
       // the same box as the reference loop.
       const std::size_t len = static_cast<std::size_t>(std::min<std::uint64_t>(
           filled, max_boxes - exec.boxes_consumed()));
-      for (std::size_t i = 0; i < len && !exec.done();) {
-        const profile::BoxSize s = batch[i];
-        std::size_t j = i + 1;
-        while (j < len && batch[j] == s) ++j;
-        if (j - i >= kMinStretch) {
-          const std::uint64_t before = exec.boxes_consumed();
-          exec.consume_run(s, j - i, cancel);
-          acc.add_boxes(s, exec.boxes_consumed() - before);
-          i = j;
-          continue;
-        }
-        for (; i < j && !exec.done(); ++i) {
-          acc.add_box(s);
-          exec.consume_box(s);
-        }
+      for (std::size_t i = 0; i < len && !exec.done(); ++i) {
+        const model::BoundedPotentials::Entry e = acc.lookup(batch[i]);
+        acc.add(e);
+        // The entry's level is util::ilog(min(n, s), b), level_of(s) by
+        // definition (LevelState.* holds the two equal).
+        exec.step(batch[i], e.level);
       }
     }
   } else {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -105,6 +106,9 @@ struct PeriodicDelta {
   std::uint64_t max_repeats = 0;
 };
 
+struct RunResult;
+struct RunOptions;
+
 /// State machine for one execution of an (a,b,c)-regular algorithm on a
 /// problem of n blocks (n a power of b).
 class RegularExecution {
@@ -119,6 +123,22 @@ class RegularExecution {
   /// Feed the next box of the profile to the algorithm. Must not be
   /// called once done().
   BoxReport consume_box(profile::BoxSize s);
+
+  /// consume_box for a caller that already knows the box's level,
+  /// `level == level_of(s)` (checked).
+  BoxReport consume_box(profile::BoxSize s, unsigned level);
+
+  /// floor(log_b(min(n, s))): the level of the largest problem a box of
+  /// size s can complete. O(1): a table keyed by the bit width of s and
+  /// one comparison.
+  unsigned level_of(profile::BoxSize s) const {
+    // s - 1 >= n - 1 is s >= n, and also catches s = 0 (by wrapping),
+    // which consume_box then rejects.
+    if (s - 1 >= n_ - 1) return root_;
+    // Between 2^(w-1) and 2^w - 1 lies at most one power of b >= 2.
+    const unsigned lo = level_by_width_[std::bit_width(s)];
+    return s > levels_[lo].last ? lo + 1 : lo;
+  }
 
   /// Bulk path (docs/PERF.md): consume `count` consecutive boxes of size
   /// s, bit-identical in every observable to `count` consume_box(s) calls
@@ -154,7 +174,7 @@ class RegularExecution {
                     std::uint64_t boxes_per_repeat,
                     std::uint64_t leaves_per_repeat);
 
-  bool done() const { return stack_.empty(); }
+  bool done() const { return top_ > root_; }
   std::uint64_t problem_size() const { return n_; }
   std::uint64_t boxes_consumed() const { return boxes_consumed_; }
   /// Base cases completed so far; total_leaves() when done.
@@ -169,7 +189,7 @@ class RegularExecution {
   /// remaining boxes.
   std::uint64_t units_done() const;
   /// Total unit accesses of the whole problem.
-  std::uint64_t total_units() const { return units_by_level_.back(); }
+  std::uint64_t total_units() const { return units_by_level_[root_]; }
 
   /// Attach (or detach, with nullptr) an observability recorder: every
   /// subsequent consume_box emits one obs::BoxObservation. The disabled
@@ -179,29 +199,58 @@ class RegularExecution {
   obs::ExecRecorder* recorder() const { return recorder_; }
 
  private:
-  struct Frame {
-    std::uint64_t size;         // problem size in blocks (power of b)
-    std::uint64_t level;        // log_b size: index into the per-level tables
-    std::uint64_t phase;        // 0..2a-1: even 2i = in child i, odd 2i+1 = in scan chunk i
-    std::uint64_t scan_offset;  // progress within the current scan chunk
-    std::uint64_t node_hash;    // path hash (kAdversaryMatched only; else 0)
+  friend RunResult run_to_completion(RegularExecution& exec,
+                                     profile::BoxSource& source,
+                                     const RunOptions& options);
+
+  /// One row per level l of the recursion (problem size b^l): the level's
+  /// constants, then the state of the stack frame at that level. The frame
+  /// at depth d of the recursion stack always has level L - d (L =
+  /// log_b n), so the open frames are exactly the levels top_..L and the
+  /// stack is stored as these rows: no frame is pushed or popped, a
+  /// descent writes a row and a return moves top_.
+  struct Level {
+    std::uint64_t size;    // b^l
+    std::uint64_t last;    // largest box of level l: b^(l+1) - 1, or max at L
+    std::uint64_t leaves;  // a^l, the base cases of the problem
+    std::uint64_t scan;    // scan_size(b^l), its whole scan
+    // Frame state, meaningful for top_ <= l <= L only.
+    std::uint64_t phase;         // 0..2a-1: even 2i = in child i, odd 2i+1 = in scan chunk i
+    std::uint64_t scan_offset;   // progress within the current scan chunk
+    std::uint64_t start_leaves;  // leaves_done_ when the frame began
+    std::uint64_t node_hash;     // path hash (kAdversaryMatched only; else 0)
   };
 
   /// Fill `out` with the stack snapshot signature() returns, reusing its
   /// capacity.
   void signature_into(StackSignature& out) const;
-  /// Scan chunk i (0-based) of the problem in frame f.
-  std::uint64_t chunk_size(const Frame& f, std::uint64_t chunk) const;
+  /// Scan chunk i (0-based) of the open frame at `level`.
+  std::uint64_t chunk_size(unsigned level, std::uint64_t chunk) const;
   /// Children of the frame that are fully complete: (phase + 1) / 2.
-  static std::uint64_t completed_children(const Frame& f) {
+  static std::uint64_t completed_children(const Level& f) {
     return (f.phase + 1) / 2;
   }
-  /// Base cases already completed strictly within stack_[idx].
-  std::uint64_t leaves_done_within(std::size_t idx) const;
+  /// Retire the open frame at `level` (top_ <= level): it completes in
+  /// full, with a^level base cases counted from its start. Pops every
+  /// frame up to it, credits the parent's child and restores the resting
+  /// invariant. Returns the size of the largest problem retired.
+  std::uint64_t complete_frame(unsigned level, std::uint64_t& progress);
+  /// The frames below `level` have just retired, the largest of size
+  /// `largest`: credit the child of the frame at `level` and restore the
+  /// resting invariant. Returns the size of the largest problem retired.
+  std::uint64_t retire_up(unsigned level, std::uint64_t largest);
+  /// Open fresh frames below the even-phase frame at top_, down to a
+  /// pending base case (each new frame starts in its child 0).
+  void descend();
   /// Restore the invariant: the deepest frame is a pending base case or a
   /// scan chunk with work remaining; completed frames are retired.
   /// Returns the size of the largest problem retired, or 0.
   std::uint64_t normalize();
+  /// normalize() for the placements that split or move the scan.
+  std::uint64_t normalize_general();
+  /// normalize() for ScanPlacement::kEnd: every chunk but the last is
+  /// empty, so a finished child passes straight to the next one.
+  std::uint64_t normalize_end();
   /// consume_run's constant-stream step (docs/PERF.md, "Constant
   /// streams"): with the deepest frame a pending leaf, retire the largest
   /// enclosing problem that is still at its start, is larger than s, and
@@ -211,9 +260,18 @@ class RegularExecution {
                              RunReport& report);
   /// Boxes of size s that the scan of a level-`level` problem takes from
   /// its start, summed over its chunks.
-  std::uint64_t scan_boxes(std::uint64_t level, profile::BoxSize s) const;
+  std::uint64_t scan_boxes(unsigned level, profile::BoxSize s) const;
 
-  BoxReport consume_box_optimistic(profile::BoxSize s);
+  /// The step both consume_box overloads take once the level is known:
+  /// checks s and done(), then consumes the box. Defined inline in
+  /// exec.cpp, where run_to_completion's batch loop also takes it with the
+  /// level of the BoundedPotentials entry that feeds the potential sums,
+  /// so each box is resolved once.
+  BoxReport step(profile::BoxSize s, unsigned level);
+  /// consume_box's argument checks, out of line: throws the CheckError
+  /// for whichever of them (s, done(), level) fails.
+  [[noreturn]] void reject_box(profile::BoxSize s, unsigned level) const;
+  BoxReport consume_box_optimistic(profile::BoxSize s, unsigned level);
   BoxReport consume_box_budgeted(profile::BoxSize s);
   /// Recording path, kept cold and out of line: classifies the branch the
   /// box is about to take, samples the scan position
@@ -221,7 +279,7 @@ class RegularExecution {
   /// emits the BoxObservation — so the hot disabled path pays only the
   /// recorder_ null test and is otherwise instruction-identical to the
   /// uninstrumented engine.
-  BoxReport consume_box_recorded(profile::BoxSize s);
+  BoxReport consume_box_recorded(profile::BoxSize s, unsigned level);
 
   model::RegularParams params_;
   std::uint64_t n_;
@@ -232,15 +290,18 @@ class RegularExecution {
   std::uint64_t leaves_done_ = 0;
   std::uint64_t boxes_consumed_ = 0;
   obs::ExecRecorder* recorder_ = nullptr;
-  std::vector<Frame> stack_;
-  /// Per-level tables, indexed by Frame::level (problem size b^k): the
-  /// per-box path reads these instead of recomputing powers and logs.
-  /// units_by_level_[k] = unit accesses of a problem of size b^k.
+  /// L = log_b n: the root's level.
+  unsigned root_ = 0;
+  /// Level of the deepest open frame; root_ + 1 once the problem is done.
+  unsigned top_ = 0;
+  /// Rows 0..L, one per level (see Level); 64 bytes each.
+  std::vector<Level> levels_;
+  /// units_by_level_[l] = U(b^l), the unit accesses of a level-l problem:
+  /// read only by units_done(), so kept out of the rows.
   std::vector<std::uint64_t> units_by_level_;
-  /// leaves_by_level_[k] = a^k, the base cases of a problem of size b^k.
-  std::vector<std::uint64_t> leaves_by_level_;
-  /// scan_by_level_[k] = scan_size(b^k), the whole scan of that problem.
-  std::vector<std::uint64_t> scan_by_level_;
+  /// level_by_width_[w] = floor(log_b(2^(w-1))) for w = 1..bit_width(n-1):
+  /// level_of's first guess for a box of bit width w below n.
+  std::array<std::uint8_t, 65> level_by_width_{};
   /// consume_run's period-probe snapshot, kept to reuse its allocation.
   StackSignature probe_sig_;
 };

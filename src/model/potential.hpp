@@ -162,7 +162,8 @@ inline double bounded_rho_units(const RegularParams& params, std::uint64_t n,
 /// Memo of the n-bounded potentials of one (params, n) problem: entry
 /// min(n, s) holds bounded_rho and bounded_rho_units of a size-s box,
 /// computed by those same functions on first use, so every lookup is
-/// bit-identical to calling them. Keys up to kDenseBound live in a dense
+/// bit-identical to calling them, together with the box's level and
+/// whether its rho is an integer. Keys up to kDenseBound live in a dense
 /// table grown on demand; larger keys (only reachable when n exceeds the
 /// bound) are computed directly.
 class BoundedPotentials {
@@ -170,6 +171,10 @@ class BoundedPotentials {
   struct Entry {
     double rho;        ///< bounded_rho(params, n, s)
     double rho_units;  ///< bounded_rho_units(params, n, s)
+    /// floor(log_b(min(n, s))): the level of the largest problem the box
+    /// can complete (engine::RegularExecution::level_of).
+    unsigned level;
+    bool integral;  ///< rho is an integer (std::floor(rho) == rho)
   };
 
   static constexpr std::uint64_t kDenseBound = UINT64_C(1) << 14;
@@ -179,20 +184,29 @@ class BoundedPotentials {
 
   Entry at(profile::BoxSize s) {
     const std::uint64_t key = std::min<std::uint64_t>(n_, s);
+    if (key < dense_.size() && dense_[key].rho >= 0.0) return dense_[key];
+    return fill(key);
+  }
+
+ private:
+  /// at()'s miss path, out of line so that at() inlines: computes the
+  /// entry, memoizing dense keys.
+  [[gnu::noinline]] Entry fill(std::uint64_t key) {
     if (key > kDenseBound) return compute(key);
     if (key >= dense_.size()) {
       const std::uint64_t grown =
           std::max<std::uint64_t>(key + 1, 2 * dense_.size());
-      dense_.resize(std::min(grown, kDenseBound + 1), Entry{-1.0, -1.0});
+      // Potentials are never negative: -1 marks an entry not yet filled.
+      dense_.resize(std::min(grown, kDenseBound + 1),
+                    Entry{-1.0, -1.0, 0, false});
     }
-    Entry& e = dense_[key];
-    if (e.rho < 0.0) e = compute(key);  // potentials are never negative
-    return e;
+    return dense_[key] = compute(key);
   }
 
- private:
   Entry compute(std::uint64_t key) const {
-    return {bounded_rho(params_, n_, key), bounded_rho_units(params_, n_, key)};
+    const double r = bounded_rho(params_, n_, key);
+    return {r, bounded_rho_units(params_, n_, key),
+            util::ilog(key, params_.b), std::floor(r) == r};
   }
 
   RegularParams params_;
@@ -211,9 +225,18 @@ class AdaptivityAccumulator {
     CADAPT_CHECK(n >= 1);
   }
 
-  void add_box(profile::BoxSize s) {
-    const BoundedPotentials::Entry e = potentials_.at(s);
-    all_integer_ = all_integer_ && std::floor(e.rho) == e.rho;
+  void add_box(profile::BoxSize s) { add(lookup(s)); }
+
+  /// The memoized potentials and level of a size-s box. A caller that
+  /// also needs the box's level (run_to_completion's batch loop) looks
+  /// the box up once and passes the entry to add().
+  BoundedPotentials::Entry lookup(profile::BoxSize s) {
+    return potentials_.at(s);
+  }
+
+  /// add_box for an entry lookup() returned: the same additions.
+  void add(const BoundedPotentials::Entry& e) {
+    all_integer_ = all_integer_ && e.integral;
     sum_bounded_potential_ += e.rho;
     sum_unit_potential_ += e.rho_units;
     ++boxes_;
@@ -222,8 +245,8 @@ class AdaptivityAccumulator {
   /// Bulk add of `count` equal boxes — bit-identical to `count` add_box
   /// calls, in O(1) for integer potentials and O(binades) otherwise.
   void add_boxes(profile::BoxSize s, std::uint64_t count) {
-    const BoundedPotentials::Entry e = potentials_.at(s);
-    all_integer_ = all_integer_ && std::floor(e.rho) == e.rho;
+    const BoundedPotentials::Entry e = lookup(s);
+    all_integer_ = all_integer_ && e.integral;
     sum_bounded_potential_ = bulk_add(sum_bounded_potential_, e.rho, count);
     sum_unit_potential_ = bulk_add(sum_unit_potential_, e.rho_units, count);
     boxes_ += count;

@@ -878,6 +878,34 @@ TEST(CellReplayDifferential, PoolSizesAndPerAccessAgree) {
   }
 }
 
+// campaign::run_cell with workers >= 2 runs a replayable cell's capturing
+// trial 0 alone and fans out only the replays; an adaptive cell, which
+// cannot replay, fans out every trial. Either way the records equal the
+// sequential loop's.
+TEST(CellReplayDifferential, RunCellRecordsEqualAtEveryWorkerCount) {
+  for (const std::string sort : {"funnel", "mm:32", "adaptive"}) {
+    campaign::Cell cell;
+    cell.sort = sort;
+    cell.profile = campaign::parse_sort_profile_token("uniform:4:64");
+    cell.seed = 7;
+    cell.trials = 6;
+    campaign::CellRunOptions options;
+    options.keys = 2048;
+    options.block = 8;
+    options.timing = false;
+    options.capture_trace = true;
+    options.workers = 1;
+    const std::vector<robust::TrialRecord> base =
+        campaign::run_cell(cell, options);
+    ASSERT_EQ(base.size(), cell.trials) << sort;
+    for (const std::uint64_t workers : {2u, 4u}) {
+      options.workers = workers;
+      EXPECT_EQ(campaign::run_cell(cell, options), base)
+          << sort << " workers=" << workers;
+    }
+  }
+}
+
 // Without capture the fast dispatch path must match the per-access
 // reference across pool sizes too (per-trial inputs, not fixed ones).
 TEST(CellReplayDifferential, DirectFastMatchesPerAccess) {
